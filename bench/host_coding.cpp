@@ -8,8 +8,8 @@
 //     mul_add_regions call vs n sequential mul_add_region calls. Same
 //     bytes out; the ratio is the destination-blocking win.
 //   * coding   — the shipping code paths (CpuEncoder full/partitioned,
-//     serial + pool-parallel progressive decode, multi-segment decode) on
-//     the process-selected backend (EXTNC_GF256_BACKEND forces it).
+//     progressive decode, multi-segment decode) on the process-selected
+//     backend (EXTNC_GF256_BACKEND forces it).
 //   * wire     — frame parse with the owned copy (parse) vs the borrowed
 //     view (parse_view) on the decode hot path's packet shape.
 //
@@ -38,7 +38,6 @@
 #include "coding/encoder.h"
 #include "coding/progressive_decoder.h"
 #include "coding/wire.h"
-#include "cpu/cpu_decoder.h"
 #include "cpu/cpu_encoder.h"
 #include "cpu/multi_segment_decoder.h"
 #include "gf256/region.h"
@@ -181,11 +180,6 @@ std::vector<CodingRow> bench_coding(const Shape& shape, ThreadPool& pool) {
   rows.push_back({"decode/serial",
                   measure_mb_per_s(shape.repeats, params.segment_bytes(), [&] {
                     coding::ProgressiveDecoder decoder(params);
-                    for (const auto& block : blocks) decoder.add(block);
-                  })});
-  rows.push_back({"decode/parallel",
-                  measure_mb_per_s(shape.repeats, params.segment_bytes(), [&] {
-                    cpu::CpuDecoder decoder(params, pool);
                     for (const auto& block : blocks) decoder.add(block);
                   })});
 

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "gf256/gf.h"
-#include "gf256/region.h"
 #include "util/assert.h"
 
 namespace extnc::coding {
@@ -12,8 +10,7 @@ BlockDecoder::BlockDecoder(Params params)
     : params_(params),
       coeffs_(params.n, params.n),
       payloads_(params.n * params.k),
-      echelon_(params.n, params.n),
-      pivot_present_(params.n, false) {
+      probe_(params.n, 0) {
   params_.validate();
 }
 
@@ -27,38 +24,12 @@ bool BlockDecoder::add(std::span<const std::uint8_t> coefficients,
   EXTNC_CHECK(coefficients.size() == params_.n);
   EXTNC_CHECK(payload.size() == params_.k);
   if (is_ready()) return false;
-
-  const std::size_t n = params_.n;
-  const gf256::Ops& ops = gf256::ops();
-
-  // Reduce a copy of the coefficients against the running echelon basis.
-  AlignedBuffer reduced(n);
-  std::memcpy(reduced.data(), coefficients.data(), n);
-  // One increasing-column pass; the pivot is the first nonzero column with
-  // no echelon row, but elimination continues past it so the stored row is
-  // fully reduced against every existing pivot (see the matching comment
-  // in ProgressiveDecoder::add).
-  std::size_t pivot = n;
-  for (std::size_t col = 0; col < n; ++col) {
-    const std::uint8_t value = reduced[col];
-    if (value == 0) continue;
-    if (pivot_present_[col]) {
-      ops.mul_add_region(reduced.data(), echelon_.row(col).data(), value, n);
-    } else if (pivot == n) {
-      pivot = col;
-    }
-  }
-  if (pivot == n) return false;  // dependent
-
-  const std::uint8_t scale = gf256::inv(reduced[pivot]);
-  ops.scale_region(reduced.data(), scale, n);
-  std::memcpy(echelon_.row(pivot).data(), reduced.data(), n);
-  pivot_present_[pivot] = true;
+  const std::size_t row = rank();
+  if (!probe_.add(coefficients)) return false;  // dependent
 
   // Store the *original* row; inversion happens once at decode time.
-  std::memcpy(coeffs_.row(rank_).data(), coefficients.data(), n);
-  std::memcpy(payloads_.data() + rank_ * params_.k, payload.data(), params_.k);
-  ++rank_;
+  std::memcpy(coeffs_.row(row).data(), coefficients.data(), params_.n);
+  std::memcpy(payloads_.data() + row * params_.k, payload.data(), params_.k);
   return true;
 }
 

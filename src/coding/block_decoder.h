@@ -11,11 +11,11 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "coding/coded_block.h"
 #include "coding/segment.h"
 #include "gf256/matrix.h"
+#include "gf256/rref.h"
 #include "util/aligned_buffer.h"
 
 namespace extnc::coding {
@@ -26,7 +26,7 @@ class BlockDecoder {
 
   // Returns true if the block was independent of those already held (and
   // stored), false if it was discarded as dependent. Independence is
-  // tracked incrementally on a coefficient-only echelon copy, so dependent
+  // tracked incrementally on a payload-free gf256::RrefBasis, so dependent
   // blocks cost O(n^2) and never touch the k-byte payloads.
   bool add(const CodedBlock& block);
   bool add(std::span<const std::uint8_t> coefficients,
@@ -38,8 +38,8 @@ class BlockDecoder {
   }
 
   const Params& params() const { return params_; }
-  std::size_t rank() const { return rank_; }
-  bool is_ready() const { return rank_ == params_.n; }
+  std::size_t rank() const { return probe_.rank(); }
+  bool is_ready() const { return probe_.is_full(); }
 
   // Stage 1 + stage 2; only valid when is_ready().
   Segment decode() const;
@@ -51,11 +51,9 @@ class BlockDecoder {
 
  private:
   Params params_;
-  gf256::Matrix coeffs_;        // stored blocks' coefficient rows
-  AlignedBuffer payloads_;      // stored blocks' payload rows
-  gf256::Matrix echelon_;       // coefficient-only running echelon form
-  std::vector<bool> pivot_present_;
-  std::size_t rank_ = 0;
+  gf256::Matrix coeffs_;    // stored blocks' coefficient rows
+  AlignedBuffer payloads_;  // stored blocks' payload rows
+  gf256::RrefBasis probe_;  // coefficient-only independence probe
 };
 
 }  // namespace extnc::coding

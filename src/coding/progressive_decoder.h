@@ -11,11 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "coding/coded_block.h"
 #include "coding/segment.h"
-#include "util/aligned_buffer.h"
+#include "gf256/rref.h"
 
 namespace extnc::coding {
 
@@ -35,8 +34,8 @@ class ProgressiveDecoder {
              std::span<const std::uint8_t> payload);
 
   const Params& params() const { return params_; }
-  std::size_t rank() const { return rank_; }
-  bool is_complete() const { return rank_ == params_.n; }
+  std::size_t rank() const { return basis_.rank(); }
+  bool is_complete() const { return basis_.is_full(); }
   std::size_t blocks_seen() const { return blocks_seen_; }
   std::size_t blocks_discarded() const { return blocks_discarded_; }
 
@@ -44,31 +43,12 @@ class ProgressiveDecoder {
   Segment decoded_segment() const;
 
   // Structural invariant check (tests / debug): the stored rows form an
-  // RREF basis — each pivot is 1 and is the only nonzero entry in its
-  // column among stored rows, and rows are zero left of their pivot.
-  bool check_rref_invariant() const;
+  // RREF basis (gf256::RrefBasis::check_invariant).
+  bool check_rref_invariant() const { return basis_.check_invariant(); }
 
  private:
-  std::uint8_t* coeff_row(std::size_t pivot);
-  const std::uint8_t* coeff_row(std::size_t pivot) const;
-  std::uint8_t* payload_row(std::size_t pivot);
-  const std::uint8_t* payload_row(std::size_t pivot) const;
-
   Params params_;
-  // Rows are keyed by pivot column: row p (if present_[p]) has its leading
-  // 1 in column p.
-  AlignedBuffer coeffs_;    // n rows of n bytes
-  AlignedBuffer payloads_;  // n rows of k bytes
-  std::vector<bool> present_;
-  AlignedBuffer scratch_coeffs_;
-  AlignedBuffer scratch_payload_;
-  // Forward-elimination recording: the coefficient pass is sequential (each
-  // elimination feeds the next factor), but stored payload rows never change
-  // during it, so the payload side is replayed afterwards as one fused
-  // mul_add_regions call over these (row, factor) pairs.
-  std::vector<const std::uint8_t*> elim_rows_;
-  std::vector<std::uint8_t> elim_factors_;
-  std::size_t rank_ = 0;
+  gf256::RrefBasis basis_;  // [C | X], rows keyed by pivot column
   std::size_t blocks_seen_ = 0;
   std::size_t blocks_discarded_ = 0;
 };

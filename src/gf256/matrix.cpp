@@ -3,8 +3,8 @@
 #include <cstring>
 #include <vector>
 
-#include "gf256/gf.h"
 #include "gf256/region.h"
+#include "gf256/rref.h"
 #include "util/assert.h"
 
 namespace extnc::gf256 {
@@ -78,62 +78,27 @@ void Matrix::multiply_rows(const std::uint8_t* payload,
 std::optional<Matrix> Matrix::inverted() const {
   EXTNC_CHECK(rows_ == cols_);
   const std::size_t n = rows_;
-  // Reduce the augmented [C | I] to [I | C^-1]; this mirrors the GPU
-  // multi-segment decoder's first stage.
-  Matrix work(*this);
-  Matrix inverse = identity(n);
-  const Ops& o = ops();
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivoting over GF: any nonzero entry works.
-    std::size_t pivot = col;
-    while (pivot < n && work.at(pivot, col) == 0) ++pivot;
-    if (pivot == n) return std::nullopt;
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(work.row(col)[c], work.row(pivot)[c]);
-        std::swap(inverse.row(col)[c], inverse.row(pivot)[c]);
-      }
-    }
-    const std::uint8_t scale = inv(work.at(col, col));
-    o.scale_region(work.row(col).data(), scale, n);
-    o.scale_region(inverse.row(col).data(), scale, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      if (r == col) continue;
-      const std::uint8_t factor = work.at(r, col);
-      if (factor == 0) continue;
-      o.mul_add_region(work.row(r).data(), work.row(col).data(), factor, n);
-      o.mul_add_region(inverse.row(r).data(), inverse.row(col).data(), factor,
-                       n);
-    }
+  // Gauss-Jordan on [C | I], as the GPU multi-segment decoder's first
+  // stage does: row i of C carries payload e_i, so the full basis is
+  // [I | C^-1] and the payload row stored at pivot p is row p of C^-1.
+  RrefBasis basis(n, n);
+  AlignedBuffer unit(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    unit[i] = 1;
+    if (!basis.add(row(i), unit.span())) return std::nullopt;
+    unit[i] = 0;
+  }
+  Matrix inverse(n, n);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::memcpy(inverse.row(p).data(), basis.payload_row(p), n);
   }
   return inverse;
 }
 
 std::size_t Matrix::rank() const {
-  Matrix work(*this);
-  const Ops& o = ops();
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < cols_ && rank < rows_; ++col) {
-    std::size_t pivot = rank;
-    while (pivot < rows_ && work.at(pivot, col) == 0) ++pivot;
-    if (pivot == rows_) continue;
-    if (pivot != rank) {
-      for (std::size_t c = 0; c < cols_; ++c) {
-        std::swap(work.row(rank)[c], work.row(pivot)[c]);
-      }
-    }
-    const std::uint8_t scale = inv(work.at(rank, col));
-    o.scale_region(work.row(rank).data(), scale, cols_);
-    for (std::size_t r = rank + 1; r < rows_; ++r) {
-      const std::uint8_t factor = work.at(r, col);
-      if (factor != 0) {
-        o.mul_add_region(work.row(r).data(), work.row(rank).data(), factor,
-                         cols_);
-      }
-    }
-    ++rank;
-  }
-  return rank;
+  RrefBasis basis(cols_, 0);
+  for (std::size_t r = 0; r < rows_ && !basis.is_full(); ++r) basis.add(row(r));
+  return basis.rank();
 }
 
 bool operator==(const Matrix& a, const Matrix& b) {

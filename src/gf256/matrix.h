@@ -52,6 +52,7 @@ class Matrix {
                      std::uint8_t* out) const;
 
   // Gauss-Jordan inverse; nullopt when singular. Square matrices only.
+  // Both this and rank() run on gf256::RrefBasis.
   std::optional<Matrix> inverted() const;
 
   std::size_t rank() const;

@@ -10,13 +10,17 @@
 #include "gpu/table_layout.h"
 #include "simgpu/static_model.h"
 #include "util/assert.h"
-#include "util/metrics_registry.h"
 
 namespace extnc::gpu {
 
 using simgpu::BlockCtx;
 using simgpu::LaunchConfig;
 using simgpu::ThreadCtx;
+
+namespace {
+// Block size of the table-based kernels (one resident block per SM).
+constexpr std::size_t kTableThreads = 256;
+}  // namespace
 
 GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
                        const coding::Segment& segment, EncodeScheme scheme,
@@ -62,6 +66,23 @@ GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
   attach_checker(checker);
   if (scheme_is_preprocessed(scheme_)) {
     preprocess_segment();
+  }
+
+  // The table-scheme fast-path profiles are functions of the immutable
+  // accounting-domain segment and the device alone, so they are built
+  // here, before any launch that reads them: block bodies, which the
+  // parallel engine runs concurrently, only read them.
+  const auto half = static_cast<std::size_t>(spec.half_warp);
+  if (scheme_ != EncodeScheme::kLoopBased && half <= 16) {
+    if (scheme_ != EncodeScheme::kTable4) build_table_load_profile();
+    table_fast_aligned_ =
+        (p.k / 4) % half == 0 && kTableThreads % half == 0 &&
+        (scheme_ != EncodeScheme::kTable5 || half % kReplicatedTables == 0);
+    if (table_fast_aligned_) {
+      build_table_fast_profile(scheme_is_preprocessed(scheme_)
+                                   ? log_segment_.data()
+                                   : segment_->data());
+    }
   }
 }
 
@@ -180,12 +201,13 @@ void GpuEncoder::preprocess_segment() {
 
   set_launch_label("preprocess_segment");
   launcher_.reset_metrics();
+  simgpu::FastBlockTally tally;
   launcher_.launch(
       {.blocks = blocks, .threads_per_block = threads},
       [&](BlockCtx& block) {
         const std::size_t stride = blocks * threads;
         if (block.fast_path()) {
-          metrics::count("simgpu.fast.lowered_blocks");
+          tally.lowered();
           // Bulk lowering; partial half-warps (tail of the word range) are
           // contiguous low lanes, so each group is one span.
           const std::size_t half = block.spec().half_warp;
@@ -254,12 +276,13 @@ void GpuEncoder::preprocess_coefficients(const coding::CodedBatch& batch) {
       launcher_.spec().num_sms, (bytes + threads - 1) / threads);
   set_launch_label("preprocess_coeffs");
   launcher_.reset_metrics();
+  simgpu::FastBlockTally tally;
   launcher_.launch(
       {.blocks = blocks, .threads_per_block = threads},
       [&](BlockCtx& block) {
         const std::size_t stride = blocks * threads;
         if (block.fast_path()) {
-          metrics::count("simgpu.fast.lowered_blocks");
+          tally.lowered();
           const std::size_t half = block.spec().half_warp;
           const std::uint64_t byte_deci =
               simgpu::KernelMetrics::deciops(kPreprocessPerByte);
@@ -312,6 +335,7 @@ void GpuEncoder::run_loop_based(coding::CodedBatch& batch) {
   std::uint8_t* out = batch.payloads_data();
 
   set_launch_label("mul_loop");
+  simgpu::FastBlockTally tally;
   launcher_.launch(
       {.blocks = blocks, .threads_per_block = threads}, [&](BlockCtx& block) {
         // Bulk lowering: one SIMD region op per (half-warp, coded-block-i)
@@ -322,14 +346,14 @@ void GpuEncoder::run_loop_based(coding::CodedBatch& batch) {
         const std::size_t half = block.spec().half_warp;
         if (block.fast_path() &&
             (words_per_block % half != 0 || threads % half != 0)) {
-          metrics::count("simgpu.fast.lowered_blocks");
-          metrics::count("simgpu.fast.straddle_blocks");
+          tally.lowered();
+          tally.straddle();
           run_loop_based_fast_straddle(block, cost, total_words, threads,
                                        coeffs, out);
           return;
         }
         if (block.fast_path()) {
-          metrics::count("simgpu.fast.lowered_blocks");
+          tally.lowered();
           const gf256::Ops& gops = gf256::ops();
           const std::size_t span = half * 4;
           const std::uint64_t word_deci =
@@ -392,7 +416,7 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
   const coding::Params p = params();
   const std::size_t words_per_block = p.k / 4;
   const std::size_t total_words = batch.count() * words_per_block;
-  const std::size_t threads = 256;
+  const std::size_t threads = kTableThreads;
   const std::size_t blocks =
       std::min<std::size_t>(launcher_.spec().num_sms,
                             (total_words + threads - 1) / threads);
@@ -409,21 +433,20 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
   // The exp lookup's home names the kernel: texture for TB-4, shared
   // memory (replicated for TB-5) otherwise.
   set_launch_label(scheme_ == EncodeScheme::kTable4 ? "exp_tex" : "exp_smem");
+  simgpu::FastBlockTally tally;
   launcher_.launch(
       {.blocks = blocks, .threads_per_block = threads}, [&](BlockCtx& block) {
         const std::size_t half = block.spec().half_warp;
         if (block.fast_path() && half <= 16) {
-          metrics::count("simgpu.fast.lowered_blocks");
+          tally.lowered();
           // The profiled lowering needs half-warps that never straddle
           // coded blocks (and, for kTable5, a lane-position-independent
           // table interleave); anything else takes the generic walker.
-          if (words_per_block % half == 0 && threads % half == 0 &&
-              (scheme_ != EncodeScheme::kTable5 ||
-               half % kReplicatedTables == 0)) {
+          if (table_fast_aligned_) {
             run_table_based_fast(block, batch, cost, total_words, threads,
                                  blocks, src, coeffs, out, sentinel);
           } else {
-            metrics::count("simgpu.fast.straddle_blocks");
+            tally.straddle();
             run_table_based_fast_straddle(block, batch, cost, total_words,
                                           threads, blocks, src, coeffs, out,
                                           sentinel);
@@ -526,14 +549,14 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
 // step's accounting is a pure function of the table addresses and the
 // thread count — identical for every block of every launch — so this runs
 // once per encoder and fast_load_tables bulk-charges the result.
-void GpuEncoder::build_table_load_profile(std::size_t threads) {
+void GpuEncoder::build_table_load_profile() {
+  const std::size_t threads = kTableThreads;
   const simgpu::DeviceSpec& spec = launcher_.spec();
   const std::size_t half = spec.half_warp;
   const auto banks = static_cast<std::uint32_t>(spec.shared_banks);
   const std::uint64_t seg_bytes = spec.coalesce_segment_bytes;
   std::array<std::uintptr_t, 16> words_buf;
   TableLoadProfile prof;
-  prof.threads = threads;
   auto charge = [&](std::uintptr_t addr, std::size_t cnt) {
     prof.transactions += simgpu::span_transactions(addr, cnt * 4, seg_bytes);
     prof.instrs += cnt;
@@ -580,17 +603,13 @@ void GpuEncoder::build_table_load_profile(std::size_t threads) {
       }
     }
   }
-  prof.built = true;
   load_profile_ = prof;
 }
 
 // Cooperative table-load accounting shared by both table-based lowerings
 // (one barrier, like the interpreted load step).
-void GpuEncoder::fast_load_tables(BlockCtx& block, std::size_t threads) {
+void GpuEncoder::fast_load_tables(BlockCtx& block) const {
   if (scheme_ == EncodeScheme::kTable4) return;  // texture-bound, no load
-  if (!load_profile_.built || load_profile_.threads != threads) {
-    build_table_load_profile(threads);
-  }
   block.fast_global_bulk(load_profile_.transactions, load_profile_.instrs,
                          load_profile_.load_bytes, 0);
   block.fast_shared_bulk(load_profile_.shared_accesses,
@@ -687,7 +706,6 @@ void GpuEncoder::build_table_fast_profile(const std::uint8_t* src) {
       if (tb4) prof.active[row + g + 1] = prof.active[row + g] + accesses;
     }
   }
-  prof.built = true;
 }
 
 // Fast-path body for one aligned table-based block. Outputs come from SIMD
@@ -704,7 +722,7 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
                                       const std::uint8_t* src,
                                       const std::uint8_t* coeffs,
                                       std::uint8_t* out,
-                                      std::uint8_t sentinel) {
+                                      std::uint8_t sentinel) const {
   const coding::Params p = params();
   const std::size_t words_per_block = p.k / 4;
   const std::size_t half = block.spec().half_warp;
@@ -716,8 +734,7 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
   const bool tb4 = scheme_ == EncodeScheme::kTable4;
   const std::uint8_t* log_table = tb0 ? log_table_bytes_.data() : nullptr;
 
-  fast_load_tables(block, threads);
-  if (!table_profile_.built) build_table_fast_profile(src);
+  fast_load_tables(block);
   const TableFastProfile& prof = table_profile_;
   const std::size_t g1 = prof.groups + 1;
 
@@ -844,7 +861,7 @@ void GpuEncoder::run_table_based_fast_straddle(
     BlockCtx& block, coding::CodedBatch& batch, const EncodeCost& cost,
     std::size_t total_words, std::size_t threads, std::size_t blocks,
     const std::uint8_t* src, const std::uint8_t* coeffs, std::uint8_t* out,
-    std::uint8_t sentinel) {
+    std::uint8_t sentinel) const {
   const coding::Params p = params();
   const std::size_t words_per_block = p.k / 4;
   const std::size_t half = block.spec().half_warp;
@@ -857,7 +874,7 @@ void GpuEncoder::run_table_based_fast_straddle(
   const bool tb5 = scheme_ == EncodeScheme::kTable5;
   const std::uint8_t* log_table = tb0 ? log_table_bytes_.data() : nullptr;
 
-  fast_load_tables(block, threads);
+  fast_load_tables(block);
 
   const std::uint64_t word_deci =
       simgpu::KernelMetrics::deciops(cost.per_word);
@@ -1005,7 +1022,8 @@ void GpuEncoder::run_table_based_fast_straddle(
 // at coded-block boundaries.
 void GpuEncoder::run_loop_based_fast_straddle(
     BlockCtx& block, const EncodeCost& cost, std::size_t total_words,
-    std::size_t threads, const std::uint8_t* coeffs, std::uint8_t* out) {
+    std::size_t threads, const std::uint8_t* coeffs,
+    std::uint8_t* out) const {
   const coding::Params p = params();
   const std::size_t words_per_block = p.k / 4;
   const std::size_t half = block.spec().half_warp;

@@ -92,13 +92,12 @@ class GpuEncoder {
   // lookup degrees, of log_c mod 4 only (shifting log_c by a word multiple
   // shifts every lookup word uniformly, preserving distinctness and bank
   // spread; see static_model.h). The segment is immutable for the encoder's
-  // lifetime, so these are evaluated once and stored as prefix sums over g
-  // (index [i * (groups + 1) + g]), letting the steady-state encode loop
-  // charge a whole j-run with a handful of subtractions instead of
-  // re-deduplicating every byte.
+  // lifetime, so these are evaluated once, in the constructor, and stored
+  // as prefix sums over g (index [i * (groups + 1) + g]), letting the
+  // steady-state encode loop charge a whole j-run with a handful of
+  // subtractions instead of re-deduplicating every byte.
   struct TableFastProfile {
     std::size_t groups = 0;  // words_per_block / half_warp
-    bool built = false;
     std::vector<std::uint32_t> src_tx;        // source-load span transactions
     std::array<std::vector<std::uint32_t>, 4> exp_cycles;  // by log_c % 4
     std::vector<std::uint32_t> exp_events;    // byte positions with a lookup
@@ -113,8 +112,6 @@ class GpuEncoder {
   // calls per block. kTable5's 4096-word interleaved load is the reason —
   // re-walking it per block would dominate the fast-path encode.
   struct TableLoadProfile {
-    bool built = false;
-    std::size_t threads = 0;
     std::uint64_t transactions = 0;
     std::uint64_t instrs = 0;
     std::uint64_t load_bytes = 0;
@@ -134,13 +131,14 @@ class GpuEncoder {
   // are the accounting-domain pointers (log domain for preprocessed
   // schemes); kTable4 replays its exp fetches lane-major through the
   // texture-cache model only until every table line is resident, then
-  // charges the rest in closed form (fast_texture_bulk).
+  // charges the rest in closed form (fast_texture_bulk). The lowerings are
+  // const: block bodies may run concurrently and only read encoder state.
   void run_table_based_fast(simgpu::BlockCtx& block, coding::CodedBatch& batch,
                             const EncodeCost& cost, std::size_t total_words,
                             std::size_t threads, std::size_t blocks,
                             const std::uint8_t* src,
                             const std::uint8_t* coeffs, std::uint8_t* out,
-                            std::uint8_t sentinel);
+                            std::uint8_t sentinel) const;
   // Generic lowering for geometries where half-warps straddle coded blocks
   // (words_per_block not a half-warp multiple — the recoder's aggregate
   // pseudo-segment, odd tails): per-lane group accounting, region math
@@ -149,17 +147,17 @@ class GpuEncoder {
       simgpu::BlockCtx& block, coding::CodedBatch& batch,
       const EncodeCost& cost, std::size_t total_words, std::size_t threads,
       std::size_t blocks, const std::uint8_t* src, const std::uint8_t* coeffs,
-      std::uint8_t* out, std::uint8_t sentinel);
+      std::uint8_t* out, std::uint8_t sentinel) const;
   void run_loop_based_fast_straddle(simgpu::BlockCtx& block,
                                     const EncodeCost& cost,
                                     std::size_t total_words,
                                     std::size_t threads,
                                     const std::uint8_t* coeffs,
-                                    std::uint8_t* out);
+                                    std::uint8_t* out) const;
   // Cooperative shared-table load accounting shared by both table-based
   // lowerings (one barrier, like the interpreted load step).
-  void fast_load_tables(simgpu::BlockCtx& block, std::size_t threads);
-  void build_table_load_profile(std::size_t threads);
+  void fast_load_tables(simgpu::BlockCtx& block) const;
+  void build_table_load_profile();
   void build_table_fast_profile(const std::uint8_t* src);
   void set_launch_label(const char* kernel);
   void unwatch_all();
@@ -179,10 +177,14 @@ class GpuEncoder {
   AlignedBuffer log_table_bytes_;  // 256-entry log (kTable0 only)
   AlignedBuffer exp_table_words_;  // 8 interleaved word tables (kTable5)
 
-  // Lazily built at the first aligned fast-path encode; valid for the
+  // Built in the constructor for the table schemes and valid for the
   // encoder's lifetime (the accounting-domain segment never changes).
+  // table_fast_aligned_ says whether the geometry admits the profiled
+  // lowering (half-warps never straddle coded blocks), and so whether
+  // table_profile_ was built.
   TableFastProfile table_profile_;
   TableLoadProfile load_profile_;
+  bool table_fast_aligned_ = false;
 };
 
 }  // namespace extnc::gpu

@@ -10,7 +10,6 @@
 #include "gpu/gpu_encoder.h"
 #include "gpu/kernel_cost.h"
 #include "util/assert.h"
-#include "util/metrics_registry.h"
 
 namespace extnc::gpu {
 
@@ -120,6 +119,7 @@ void GpuMultiSegmentDecoder::invert_stage(
 
   const std::array<std::uint64_t, 256> mul_deci = mul_word_deciops();
   launcher_.reset_metrics();
+  simgpu::FastBlockTally tally;
   launcher_.launch(
       {.blocks = s,
        .threads_per_block = threads,
@@ -136,6 +136,7 @@ void GpuMultiSegmentDecoder::invert_stage(
         // striding generically.
         if (block.fast_path() && threads >= row_words && threads >= n &&
             half <= 16) {
+          tally.lowered();
           invert_block_fast(block, aug, mul_deci);
           return;
         }
@@ -228,7 +229,6 @@ void GpuMultiSegmentDecoder::invert_block_fast(
   const std::size_t row_words = row_bytes / 4;
   const std::size_t threads = block.num_threads();
   const std::size_t half = block.spec().half_warp;
-  metrics::count("simgpu.fast.lowered_blocks");
   const gf256::Ops& gops = gf256::ops();
   auto row = [&](std::size_t r) { return aug + r * row_bytes; };
   auto uptr = [](const void* p) {

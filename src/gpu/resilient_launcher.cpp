@@ -276,7 +276,7 @@ bool ResilientEncoder::verify_batch(const coding::CodedBatch& batch) {
     // spot-check random rows.
     const std::size_t j = samples == count ? s : sample_rng_.next_below(count);
     reference_.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (crc32c(scratch) != crc32c(batch.payload(j))) return false;
+    if (!std::ranges::equal(scratch, batch.payload(j))) return false;
   }
   return true;
 }
@@ -503,7 +503,7 @@ bool ResilientMultiSegDecoder::verify_segment(const coding::CodedBatch& batch,
   for (std::size_t s = 0; s < samples; ++s) {
     const std::size_t j = samples == n ? s : sample_rng_.next_below(n);
     reference.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (crc32c(scratch) != crc32c(batch.payload(j))) return false;
+    if (!std::ranges::equal(scratch, batch.payload(j))) return false;
   }
   return true;
 }

@@ -162,7 +162,7 @@ SegmentResult FleetScheduler::encode_segment(std::size_t device,
   for (std::size_t j = 0; j < blocks; ++j) {
     crc_state = crc32c_update(crc_state, batch.payload(j));
     reference_.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (crc32c(scratch) != crc32c(batch.payload(j))) {
+    if (!std::ranges::equal(scratch, batch.payload(j))) {
       result.bit_exact = false;
       break;
     }

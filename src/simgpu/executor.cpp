@@ -333,6 +333,15 @@ void BlockCtx::flush_half_warp() {
   pending_atomic_ops_ = 0;
 }
 
+FastBlockTally::~FastBlockTally() {
+  if (const std::uint64_t n = lowered_.load(); n > 0) {
+    metrics::count("simgpu.fast.lowered_blocks", static_cast<double>(n));
+  }
+  if (const std::uint64_t n = straddle_.load(); n > 0) {
+    metrics::count("simgpu.fast.straddle_blocks", static_cast<double>(n));
+  }
+}
+
 // ---------------------------------------------------------------- Launcher
 
 namespace {

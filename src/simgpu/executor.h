@@ -31,6 +31,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -352,6 +353,26 @@ class BlockCtx {
   std::uint64_t pending_texture_fetches_ = 0;
   std::uint64_t pending_texture_misses_ = 0;
   std::uint64_t pending_atomic_ops_ = 0;
+};
+
+// Counts the blocks of one launch that took a bulk lowering, and adds the
+// totals to the simgpu.fast.lowered_blocks / simgpu.fast.straddle_blocks
+// registry counters once, when the tally leaves scope after the launch.
+// Block bodies, which the parallel engine runs concurrently, bump a
+// relaxed atomic instead of taking the registry's locks.
+class FastBlockTally {
+ public:
+  FastBlockTally() = default;
+  FastBlockTally(const FastBlockTally&) = delete;
+  FastBlockTally& operator=(const FastBlockTally&) = delete;
+  ~FastBlockTally();
+
+  void lowered() { lowered_.fetch_add(1, std::memory_order_relaxed); }
+  void straddle() { straddle_.fetch_add(1, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> lowered_{0};
+  std::atomic<std::uint64_t> straddle_{0};
 };
 
 class FaultInjector;

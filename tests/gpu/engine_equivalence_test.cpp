@@ -8,6 +8,7 @@
 // set_fast_path_enabled.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -314,6 +315,53 @@ TEST(EngineEquivalence, EncoderUnalignedGeometries) {
           return result;
         },
         std::string("unaligned-encoder/") + scheme_name(scheme));
+  }
+}
+
+// The shapes above stay below kAuto's 16-block parallel threshold, and each
+// fast run's first launch is where an encoder's lowering state gets used
+// for the first time. Here every lowering runs at a size the parallel
+// engine really spreads over a 4-thread pool (16+ blocks across several
+// texture units) on a freshly built encoder, so any state a block body
+// wrote lazily would be raced on by concurrent blocks.
+TEST(EngineEquivalence, ParallelSizedFastPathLaunches) {
+  // The pool latches its size on first use; under ctest every test is its
+  // own process, so this takes effect unless the caller already chose.
+  ::setenv("EXTNC_SIMGPU_THREADS", "4", /*overwrite=*/0);
+  if (simgpu::engine_pool().num_threads() < 2) {
+    GTEST_SKIP() << "single-threaded pool: the parallel engine degenerates";
+  }
+  constexpr EncodeScheme kAllSchemes[] = {
+      EncodeScheme::kLoopBased, EncodeScheme::kTable0, EncodeScheme::kTable1,
+      EncodeScheme::kTable2,    EncodeScheme::kTable3, EncodeScheme::kTable4,
+      EncodeScheme::kTable5,
+  };
+  struct Geometry {
+    Params params;
+    std::size_t rows;
+  };
+  // 64 rows of 64 words and 82 rows of 50 words (half-warps straddle
+  // coded blocks) both make 16+ blocks of 256 threads.
+  const Geometry geometries[] = {{{.n = 16, .k = 256}, 64},
+                                 {{.n = 12, .k = 200}, 82}};
+  Rng seed_rng(20);
+  for (const Geometry& geometry : geometries) {
+    const Segment segment = Segment::random(geometry.params, seed_rng);
+    for (EncodeScheme scheme : kAllSchemes) {
+      compare_engines(
+          [&](ExecEngine) {
+            Rng rng(707);
+            GpuEncoder encoder(simgpu::gtx280(), segment, scheme);
+            RunResult result;
+            result.batches.push_back(encoder.encode_batch(geometry.rows, rng));
+            result.metrics = encoder.encode_metrics();
+            result.metrics2 = encoder.preprocess_metrics();
+            EXPECT_GE(result.metrics.blocks, 16u);
+            return result;
+          },
+          std::string("parallel-sized/k=") +
+              std::to_string(geometry.params.k) + "/" + scheme_name(scheme));
+    }
   }
 }
 
