@@ -11,19 +11,22 @@
 //     progressive decode, multi-segment decode) on the process-selected
 //     backend (EXTNC_GF256_BACKEND forces it).
 //   * wire     — frame parse with the owned copy (parse) vs the borrowed
-//     view (parse_view) on the decode hot path's packet shape.
+//     view (parse_view) on the decode hot path's packet shape, and CRC32C
+//     over 1 KiB frames (bytes checked) on the process-selected backend
+//     (wire/crc32c) and on the portable table loop (wire/crc32c_table).
 //
 // Usage:
 //   host_coding [--quick] [--json] [--csv]
-//               [--min-mb-per-s X] [--min-fused-speedup X]
+//               [--min-mb-per-s X] [--min-fused-speedup X] [--min-crc-mb-s X]
 //
 // --min-mb-per-s X exits non-zero if any backend's fused encoder-shape
 // throughput lands below X MB/s — the CI floor for BENCH_hostpath.json.
 // --min-fused-speedup X is the same gate for the best backend's
 // fused/per-row ratio (the fused kernel must not regress into the per-row
-// path). Floors are deliberately loose: they catch a dispatch ladder that
-// silently fell to scalar or a fused kernel that lost its blocking, not
-// runner-to-runner noise.
+// path). --min-crc-mb-s X gates the wire/crc32c row (the selected CRC
+// backend). Floors are deliberately loose: they catch a dispatch ladder
+// that silently fell to scalar (or to the CRC table loop) or a fused kernel
+// that lost its blocking, not runner-to-runner noise.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -42,6 +45,7 @@
 #include "cpu/multi_segment_decoder.h"
 #include "gf256/region.h"
 #include "util/aligned_buffer.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "util/thread_pool.h"
@@ -231,6 +235,29 @@ std::vector<CodingRow> bench_wire(const Shape& shape) {
                       if (!parsed.ok()) die("parse_view failed");
                     }
                   })});
+
+  // CRC32C over 1 KiB frames, counted in bytes checked. Each run folds the
+  // frame CRCs together; the two backends must agree on the result.
+  constexpr std::size_t kCrcFrameBytes = 1024;
+  const std::size_t crc_frames = 256;
+  std::vector<std::uint8_t> crc_buffer(crc_frames * kCrcFrameBytes);
+  for (auto& b : crc_buffer) b = rng.next_byte();
+  const std::span<const std::uint8_t> crc_data(crc_buffer);
+  auto crc_row = [&](const char* label, auto update, std::uint32_t& folded) {
+    rows.push_back({label, measure_mb_per_s(shape.repeats, crc_buffer.size(),
+                                            [&] {
+      folded = 0;
+      for (std::size_t f = 0; f < crc_frames; ++f) {
+        folded ^= update(crc32c_init(),
+                         crc_data.subspan(f * kCrcFrameBytes, kCrcFrameBytes));
+      }
+    })});
+  };
+  std::uint32_t selected = 0;
+  std::uint32_t table = 0;
+  crc_row("wire/crc32c", crc32c_update, selected);
+  crc_row("wire/crc32c_table", crc32c_update_table, table);
+  if (selected != table) die("crc32c backend disagrees with the table loop");
   return rows;
 }
 
@@ -244,6 +271,7 @@ void print_json(const std::vector<BackendRow>& backends,
   std::printf("  \"host_cores\": %u,\n", std::thread::hardware_concurrency());
   std::printf("  \"pool_threads\": %zu,\n", pool_threads);
   std::printf("  \"selected_backend\": \"%s\",\n", gf256::ops().name);
+  std::printf("  \"crc32c_backend\": \"%s\",\n", crc32c_backend());
   std::printf("  \"n\": %zu,\n", shape.n);
   std::printf("  \"k\": %zu,\n", shape.k);
   std::printf("  \"backends\": [\n");
@@ -273,7 +301,8 @@ void print_json(const std::vector<BackendRow>& backends,
 }
 
 int run(int argc, char** argv) {
-  check_flags(argc, argv, {"--min-mb-per-s", "--min-fused-speedup"},
+  check_flags(argc, argv,
+              {"--min-mb-per-s", "--min-fused-speedup", "--min-crc-mb-s"},
               {"--quick", "--json", "--csv"});
   const bool quick = has_flag(argc, argv, "--quick");
   const bool json = has_flag(argc, argv, "--json");
@@ -292,6 +321,13 @@ int run(int argc, char** argv) {
     if (min_fused_speedup <= 0) {
       die("--min-fused-speedup must be a positive number");
     }
+  }
+
+  const std::string min_crc_arg = flag_value(argc, argv, "--min-crc-mb-s");
+  double min_crc_mb_s = 0;
+  if (!min_crc_arg.empty()) {
+    min_crc_mb_s = std::atof(min_crc_arg.c_str());
+    if (min_crc_mb_s <= 0) die("--min-crc-mb-s must be a positive number");
   }
 
   const Shape shape = shape_for(quick);
@@ -328,6 +364,17 @@ int run(int argc, char** argv) {
                      "error: backend %s: fused %.2f MB/s below "
                      "--min-mb-per-s %.2f\n",
                      row.name.c_str(), row.fused_mb_per_s, min_mb_per_s);
+        return 1;
+      }
+    }
+  }
+  if (min_crc_mb_s > 0) {
+    for (const CodingRow& row : wire) {
+      if (row.name == "wire/crc32c" && row.mb_per_s < min_crc_mb_s) {
+        std::fprintf(stderr,
+                     "error: crc32c backend %s: %.2f MB/s below "
+                     "--min-crc-mb-s %.2f\n",
+                     crc32c_backend(), row.mb_per_s, min_crc_mb_s);
         return 1;
       }
     }

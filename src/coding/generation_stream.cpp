@@ -37,11 +37,26 @@ GenerationEncoder::GenerationEncoder(Params params,
 
 std::vector<std::uint8_t> GenerationEncoder::encode_packet(
     std::uint32_t generation, Rng& rng) {
+  std::vector<std::uint8_t> out(packet_bytes());
+  encode_packet_into(generation, rng, out);
+  return out;
+}
+
+void GenerationEncoder::encode_packet_into(std::uint32_t generation,
+                                           Rng& rng,
+                                           std::span<std::uint8_t> out) {
   EXTNC_CHECK(generation < segments_.size());
-  const CodedBlock block = use_systematic_
-                               ? systematic_[generation].next(rng)
-                               : coded_[generation].encode(rng);
-  return serialize(generation, block, wire_format_);
+  EXTNC_CHECK(out.size() == packet_bytes());
+  // Coded straight into the frame body, then framed in place.
+  const auto coefficients = out.subspan(kWireHeaderBytes, params_.n);
+  const auto payload = out.subspan(kWireHeaderBytes + params_.n, params_.k);
+  if (use_systematic_) {
+    systematic_[generation].next_into(rng, coefficients, payload);
+  } else {
+    coded_[generation].draw_coefficients(rng, coefficients);
+    coded_[generation].encode_with_coefficients(coefficients, payload);
+  }
+  seal_frame(generation, params_, out, wire_format_);
 }
 
 SegmentDigest GenerationEncoder::digest(std::uint32_t generation) const {
@@ -59,10 +74,9 @@ GenerationDecoder::GenerationDecoder(Params params, std::size_t generations)
     : params_(params) {
   params_.validate();
   EXTNC_CHECK(generations >= 1);
-  decoders_.reserve(generations);
-  for (std::size_t g = 0; g < generations; ++g) {
-    decoders_.push_back(std::make_unique<ProgressiveDecoder>(params_));
-  }
+  // Each generation's decoder (and its n x k basis) is built by the first
+  // packet that reaches it.
+  decoders_.resize(generations);
 }
 
 GenerationDecoder::Accept GenerationDecoder::add_packet(
@@ -82,7 +96,9 @@ GenerationDecoder::Accept GenerationDecoder::add_packet(
     ++rejected_;
     return Accept::kRejected;
   }
-  ProgressiveDecoder& decoder = *decoders_[packet.generation];
+  auto& slot = decoders_[packet.generation];
+  if (!slot) slot = std::make_unique<ProgressiveDecoder>(params_);
+  ProgressiveDecoder& decoder = *slot;
   const auto outcome =
       decoder.add(packet.block.coefficients(), packet.block.payload());
   switch (outcome) {
@@ -101,21 +117,24 @@ GenerationDecoder::Accept GenerationDecoder::add_packet(
 
 std::size_t GenerationDecoder::generation_rank(std::size_t generation) const {
   EXTNC_CHECK(generation < decoders_.size());
-  return decoders_[generation]->rank();
+  return decoders_[generation] ? decoders_[generation]->rank() : 0;
 }
 
 bool GenerationDecoder::generation_complete(std::size_t generation) const {
   EXTNC_CHECK(generation < decoders_.size());
-  return decoders_[generation]->is_complete();
+  return decoders_[generation] && decoders_[generation]->is_complete();
 }
 
 std::vector<std::uint8_t> GenerationDecoder::reassemble() const {
   EXTNC_CHECK(is_complete());
+  // Reserved once and appended straight from each basis, so every output
+  // byte is written exactly once (no temporary segment, no zero-fill pass
+  // over the whole file).
   std::vector<std::uint8_t> out;
   out.reserve(decoders_.size() * params_.segment_bytes());
   for (const auto& decoder : decoders_) {
-    const Segment segment = decoder->decoded_segment();
-    out.insert(out.end(), segment.bytes().begin(), segment.bytes().end());
+    const std::span<const std::uint8_t> bytes = decoder->decoded_bytes();
+    out.insert(out.end(), bytes.begin(), bytes.end());
   }
   return out;
 }

@@ -40,6 +40,13 @@ class GenerationEncoder {
 
   // One coded block of generation g (wire-ready bytes).
   std::vector<std::uint8_t> encode_packet(std::uint32_t generation, Rng& rng);
+  // Same packet (same rng draws), coded straight into a caller buffer of
+  // exactly packet_bytes() — e.g. its slot in a container, with no
+  // per-packet buffer.
+  void encode_packet_into(std::uint32_t generation, Rng& rng,
+                          std::span<std::uint8_t> out);
+  // Wire size of every packet this encoder emits.
+  std::size_t packet_bytes() const { return wire_size(params_, wire_format_); }
 
   // Round-robin across generations (a simple sender schedule).
   std::vector<std::uint8_t> encode_next_packet(Rng& rng);

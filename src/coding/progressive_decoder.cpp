@@ -1,7 +1,5 @@
 #include "coding/progressive_decoder.h"
 
-#include <cstring>
-
 #include "util/assert.h"
 
 namespace extnc::coding {
@@ -34,13 +32,14 @@ ProgressiveDecoder::Result ProgressiveDecoder::add(
 }
 
 Segment ProgressiveDecoder::decoded_segment() const {
+  return Segment::from_bytes(params_, decoded_bytes());
+}
+
+std::span<const std::uint8_t> ProgressiveDecoder::decoded_bytes() const {
   EXTNC_CHECK(is_complete());
-  // A full RREF basis has C = I, so the payload row at pivot i is source i.
-  Segment segment(params_);
-  for (std::size_t i = 0; i < params_.n; ++i) {
-    std::memcpy(segment.block(i).data(), basis_.payload_row(i), params_.k);
-  }
-  return segment;
+  // A full RREF basis has C = I, so the payload row at pivot i is source
+  // i, and the rows are stored in pivot order.
+  return basis_.payload_rows();
 }
 
 }  // namespace extnc::coding

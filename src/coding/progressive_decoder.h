@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "coding/coded_block.h"
 #include "coding/segment.h"
@@ -41,6 +42,11 @@ class ProgressiveDecoder {
 
   // Decoded source blocks; only valid when is_complete().
   Segment decoded_segment() const;
+  // The same n*k bytes (source block i at offset i*k) read in place from
+  // the full basis, for callers that copy them straight to their
+  // destination; only valid when is_complete(), and only while the decoder
+  // lives and receives no further add().
+  std::span<const std::uint8_t> decoded_bytes() const;
 
   // Structural invariant check (tests / debug): the stored rows form an
   // RREF basis (gf256::RrefBasis::check_invariant).

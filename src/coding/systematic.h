@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "coding/encoder.h"
 
@@ -27,6 +28,10 @@ class SystematicEncoder {
   bool in_systematic_phase() const { return next_ < params().n; }
 
   CodedBlock next(Rng& rng);
+  // Same emission (same rng draws), written into caller regions of n and
+  // k bytes — e.g. the body of a wire frame (coding/wire.h seal_frame).
+  void next_into(Rng& rng, std::span<std::uint8_t> coefficients,
+                 std::span<std::uint8_t> payload);
 
   // Restart the systematic pass (e.g. for a new receiver cohort).
   void reset() { next_ = 0; }

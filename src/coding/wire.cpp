@@ -48,16 +48,22 @@ void serialize_into(std::uint32_t generation, const CodedBlock& block,
                     std::span<std::uint8_t> out, WireFormat format) {
   const Params& p = block.params();
   EXTNC_CHECK(out.size() == wire_size(p, format));
-  put_u32(out.data(),
-          format == WireFormat::kV2 ? kWireMagicV2 : kWireMagic);
-  put_u32(out.data() + 4, generation);
-  put_u32(out.data() + 8, static_cast<std::uint32_t>(p.n));
-  put_u32(out.data() + 12, static_cast<std::uint32_t>(p.k));
   std::memcpy(out.data() + kWireHeaderBytes, block.coefficients().data(), p.n);
   std::memcpy(out.data() + kWireHeaderBytes + p.n, block.payload().data(),
               p.k);
+  seal_frame(generation, p, out, format);
+}
+
+void seal_frame(std::uint32_t generation, const Params& params,
+                std::span<std::uint8_t> out, WireFormat format) {
+  EXTNC_CHECK(out.size() == wire_size(params, format));
+  put_u32(out.data(),
+          format == WireFormat::kV2 ? kWireMagicV2 : kWireMagic);
+  put_u32(out.data() + 4, generation);
+  put_u32(out.data() + 8, static_cast<std::uint32_t>(params.n));
+  put_u32(out.data() + 12, static_cast<std::uint32_t>(params.k));
   if (format == WireFormat::kV2) {
-    const std::size_t body = kWireHeaderBytes + p.n + p.k;
+    const std::size_t body = kWireHeaderBytes + params.n + params.k;
     put_u32(out.data() + body, crc32c(out.first(body)));
   }
 }

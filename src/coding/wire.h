@@ -89,6 +89,15 @@ void serialize_into(std::uint32_t generation, const CodedBlock& block,
                     std::span<std::uint8_t> out,
                     WireFormat format = WireFormat::kV2);
 
+// In-place framing for producers that write a frame's coefficient and
+// payload regions themselves (out.subspan(kWireHeaderBytes, n) and
+// out.subspan(kWireHeaderBytes + n, k)): writes the header and, for v2,
+// the CRC32C trailer over the finished body. `out` is exactly
+// wire_size(params, format) bytes; serialize_into is a copy plus this.
+void seal_frame(std::uint32_t generation, const Params& params,
+                std::span<std::uint8_t> out,
+                WireFormat format = WireFormat::kV2);
+
 enum class ParseError {
   kTooShort,
   kBadMagic,

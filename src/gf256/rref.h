@@ -57,6 +57,10 @@ class RrefBasis {
   const std::uint8_t* payload_row(std::size_t pivot) const {
     return payloads_.data() + pivot * k_;
   }
+  // All n payload rows back to back in pivot order (n * payload_bytes()).
+  std::span<const std::uint8_t> payload_rows() const {
+    return payloads_.span();
+  }
 
   // Structural invariant check (tests / debug): the stored rows are in
   // RREF as described above, and their count equals rank().

@@ -13,16 +13,16 @@ constexpr std::uint32_t kFileMagic = 0x46434e58;  // "XNCF"
 constexpr std::size_t kFileHeaderBytes = 32;
 constexpr std::uint32_t kFlagWireV2 = 1u << 0;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+void put_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+void put_u64(std::uint8_t* p, std::uint64_t v) {
+  put_u32(p, static_cast<std::uint32_t>(v));
+  put_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {
@@ -58,14 +58,33 @@ std::vector<std::uint8_t> encode_file(std::span<const std::uint8_t> content,
   const std::size_t per_generation = static_cast<std::size_t>(
       static_cast<double>(options.params.n) * (1.0 + options.redundancy) +
       0.999);
-  std::vector<std::vector<std::uint8_t>> packets;
+  // Capacity for every packet that could survive is reserved once, and each
+  // packet is serialized straight into its slot at the end of the
+  // container. Growing by one slot at a time (instead of zero-filling the
+  // whole container up front) writes every byte of it once. A lost packet
+  // gives its slot back.
+  const std::size_t packet_bytes = encoder.packet_bytes();
+  std::vector<std::uint8_t> out;
+  out.reserve(kFileHeaderBytes +
+              encoder.generations() * per_generation * packet_bytes);
+  out.resize(kFileHeaderBytes);
+  std::uint32_t packets = 0;
   for (std::uint32_t g = 0; g < encoder.generations(); ++g) {
     for (std::size_t i = 0; i < per_generation; ++i) {
-      auto packet = seed_block
-                        ? coding::serialize(g, seed_block(g, rng),
-                                            options.wire_format)
-                        : encoder.encode_packet(g, rng);
-      if (rng.next_double() < options.loss) continue;  // dropped in transit
+      const std::size_t offset = out.size();
+      out.resize(offset + packet_bytes);
+      const std::span<std::uint8_t> packet =
+          std::span(out).subspan(offset, packet_bytes);
+      if (seed_block) {
+        coding::serialize_into(g, seed_block(g, rng), packet,
+                               options.wire_format);
+      } else {
+        encoder.encode_packet_into(g, rng, packet);
+      }
+      if (rng.next_double() < options.loss) {  // dropped in transit
+        out.resize(offset);
+        continue;
+      }
       // Guarded so corruption-free runs keep the seeded rng trajectory of
       // the original (corruption-less) encoder, draw for draw.
       if (options.corruption > 0.0 &&
@@ -73,25 +92,20 @@ std::vector<std::uint8_t> encode_file(std::span<const std::uint8_t> content,
         const std::size_t byte = rng.next_below(packet.size());
         packet[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
       }
-      packets.push_back(std::move(packet));
+      ++packets;
     }
   }
 
-  std::vector<std::uint8_t> out;
-  out.reserve(kFileHeaderBytes +
-              packets.size() *
-                  coding::wire_size(options.params, options.wire_format));
-  put_u32(out, kFileMagic);
-  put_u32(out, static_cast<std::uint32_t>(options.params.n));
-  put_u32(out, static_cast<std::uint32_t>(options.params.k));
-  put_u64(out, content.size());
-  put_u32(out, static_cast<std::uint32_t>(encoder.generations()));
-  put_u32(out, static_cast<std::uint32_t>(packets.size()));
-  put_u32(out, options.wire_format == coding::WireFormat::kV2 ? kFlagWireV2
-                                                              : 0u);
-  for (const auto& packet : packets) {
-    out.insert(out.end(), packet.begin(), packet.end());
-  }
+  std::uint8_t* header = out.data();
+  put_u32(header, kFileMagic);
+  put_u32(header + 4, static_cast<std::uint32_t>(options.params.n));
+  put_u32(header + 8, static_cast<std::uint32_t>(options.params.k));
+  put_u64(header + 12, content.size());
+  put_u32(header + 20, static_cast<std::uint32_t>(encoder.generations()));
+  put_u32(header + 24, packets);
+  put_u32(header + 28, options.wire_format == coding::WireFormat::kV2
+                           ? kFlagWireV2
+                           : 0u);
   return out;
 }
 

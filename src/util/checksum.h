@@ -2,8 +2,12 @@
 //
 // crc32c: the Castagnoli CRC (polynomial 0x1EDC6F41, reflected 0x82F63B78),
 // the same checksum iSCSI/ext4 use — strong burst-error detection in 4
-// bytes, and hardware-accelerated everywhere should a backend ever want to
-// swap this table-driven version out. Used as the XNC2 packet trailer.
+// bytes. Used as the XNC2 packet trailer and by every CRC-framed record
+// (segment digests, the XNCJ journal, the XNCK checkpoint). The backend is
+// chosen once per process: the SSE4.2 CRC32 instruction on x86-64 CPUs
+// that have it (crc32c_backend() == "sse4.2"), otherwise a byte-at-a-time
+// table loop ("table"). The table loop is also the reference: both
+// backends produce identical values for every input.
 //
 // digest64: a 64-bit content digest (FNV-1a with a SplitMix64 finalizer)
 // for per-source-block manifests. Detects random corruption with 2^-64
@@ -28,6 +32,14 @@ std::uint32_t crc32c_update(std::uint32_t state,
 inline constexpr std::uint32_t crc32c_final(std::uint32_t state) {
   return state ^ 0xffffffffu;
 }
+
+// The portable table loop: the fallback backend and the reference the
+// hardware backend is tested against. Same contract as crc32c_update.
+std::uint32_t crc32c_update_table(std::uint32_t state,
+                                  std::span<const std::uint8_t> data);
+
+// Name of the backend crc32c_update dispatches to: "sse4.2" or "table".
+const char* crc32c_backend();
 
 // 64-bit content digest. Seed lets callers domain-separate (e.g. mix in a
 // block index so identical blocks at different positions digest apart).

@@ -131,6 +131,28 @@ TEST(GenerationStream, ReportsCompletionTransitions) {
   EXPECT_EQ(decoder.generations_complete(), 1u);
 }
 
+// A generation's decoder is built by its first packet; until then it reads
+// as rank 0, incomplete.
+TEST(GenerationStream, GenerationsWithoutPacketsReportRankZero) {
+  const Params params{.n = 2, .k = 4};
+  const auto content = random_content(3 * params.segment_bytes(), 14);
+  Rng rng(15);
+  GenerationEncoder encoder(params, content, /*systematic=*/true);
+  GenerationDecoder decoder(params, 3);
+  for (std::size_t g = 0; g < 3; ++g) {
+    EXPECT_EQ(decoder.generation_rank(g), 0u);
+    EXPECT_FALSE(decoder.generation_complete(g));
+  }
+  decoder.add_packet(encoder.encode_packet(1, rng));
+  decoder.add_packet(encoder.encode_packet(1, rng));
+  EXPECT_EQ(decoder.generation_rank(0), 0u);
+  EXPECT_EQ(decoder.generation_rank(1), 2u);
+  EXPECT_TRUE(decoder.generation_complete(1));
+  EXPECT_FALSE(decoder.generation_complete(2));
+  EXPECT_EQ(decoder.generations_complete(), 1u);
+  EXPECT_FALSE(decoder.is_complete());
+}
+
 TEST(GenerationStreamDeathTest, ReassembleBeforeCompleteAborts) {
   GenerationDecoder decoder({.n = 2, .k = 4}, 1);
   EXPECT_DEATH((void)decoder.reassemble(), "EXTNC_CHECK");

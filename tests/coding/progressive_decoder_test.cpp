@@ -1,5 +1,6 @@
 #include "coding/progressive_decoder.h"
 
+#include <algorithm>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -164,6 +165,8 @@ TEST(ProgressiveDecoder, OutOfOrderPivotsKeepRrefAndDecode) {
   ASSERT_TRUE(decoder.is_complete());
   EXPECT_TRUE(decoder.check_rref_invariant());
   EXPECT_EQ(decoder.decoded_segment(), segment);
+  // The in-place view is keyed by pivot, not by arrival order.
+  EXPECT_TRUE(std::ranges::equal(decoder.decoded_bytes(), segment.bytes()));
 }
 
 TEST(ProgressiveDecoderDeathTest, DecodedSegmentBeforeCompleteAborts) {

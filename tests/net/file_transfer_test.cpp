@@ -1,7 +1,11 @@
 #include "net/file_transfer.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "coding/generation_stream.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace extnc::net {
@@ -169,6 +173,59 @@ TEST(FileTransfer, InfoMatchesOptions) {
   EXPECT_EQ(info->content_bytes, content.size());
   EXPECT_EQ(info->generations, 5u);  // ceil(10000 / 2048)
   EXPECT_EQ(info->packets, info->generations * 20u);  // n * 1.25
+}
+
+// encode_file serializes packets straight into the container; it must
+// still write exactly what the public per-packet API would, consuming the
+// same seeded draws in the same order: coefficients, the loss draw, then
+// the corruption draws (only when corruption > 0).
+TEST(FileTransfer, ContainerIsTheSeededPacketLoopByteForByte) {
+  const auto content = random_content(20000, 16);
+  FileEncodeOptions options;
+  options.params = {.n = 8, .k = 64};
+  options.redundancy = 0.5;
+  options.loss = 0.1;
+  options.corruption = 0.05;
+  options.seed = 17;
+  const auto container = encode_file(content, options);
+
+  coding::GenerationEncoder encoder(options.params, content);
+  Rng rng(options.seed);
+  const std::size_t per_generation = 12;  // ceil(8 * 1.5)
+  std::vector<std::uint8_t> packets;
+  std::uint32_t count = 0;
+  std::size_t lost = 0;
+  std::size_t damaged = 0;
+  for (std::uint32_t g = 0; g < encoder.generations(); ++g) {
+    for (std::size_t i = 0; i < per_generation; ++i) {
+      auto packet = encoder.encode_packet(g, rng);
+      if (rng.next_double() < options.loss) {
+        ++lost;
+        continue;
+      }
+      if (rng.next_double() < options.corruption) {
+        const std::size_t byte = rng.next_below(packet.size());
+        packet[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+        ++damaged;
+      }
+      packets.insert(packets.end(), packet.begin(), packet.end());
+      ++count;
+    }
+  }
+  ASSERT_GT(lost, 0u);
+  ASSERT_GT(damaged, 0u);
+
+  const auto info = describe_file(container);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->packets, count);
+  EXPECT_EQ(info->generations, encoder.generations());
+  EXPECT_EQ(info->content_bytes, content.size());
+  ASSERT_EQ(container.size(), 32 + packets.size());
+  EXPECT_TRUE(std::equal(packets.begin(), packets.end(),
+                         container.begin() + 32));
+  // Pinned digest of this container: any change to the bytes encode_file
+  // writes for a given seed shows up here.
+  EXPECT_EQ(digest64(container), 0x539ac6ae0be71d28ULL);
 }
 
 TEST(FileTransferDeathTest, InvalidLossAborts) {

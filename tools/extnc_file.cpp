@@ -16,11 +16,11 @@
 // by `decode` demonstrates loss recovery end to end; `--corrupt 0.1`
 // additionally demonstrates the wire CRC rejecting damaged packets.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "net/file_transfer.h"
+#include "util/cli_flags.h"
 #include "util/file_io.h"
 
 namespace {
@@ -39,35 +39,42 @@ int usage() {
 
 int cmd_encode(int argc, char** argv) {
   if (argc < 4) return usage();
-  net::FileEncodeOptions options;
-  for (int i = 4; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return ++i < argc ? argv[i] : "";
-    };
-    if (arg == "--n") {
-      options.params.n = std::strtoul(value(), nullptr, 10);
-    } else if (arg == "--k") {
-      options.params.k = std::strtoul(value(), nullptr, 10);
-    } else if (arg == "--redundancy") {
-      options.redundancy = std::strtod(value(), nullptr);
-    } else if (arg == "--loss") {
-      options.loss = std::strtod(value(), nullptr);
-    } else if (arg == "--corrupt") {
-      options.corruption = std::strtod(value(), nullptr);
-    } else if (arg == "--v1") {
-      options.wire_format = coding::WireFormat::kV1;
-    } else if (arg == "--seed") {
-      options.seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--systematic") {
-      options.systematic = true;
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      return usage();
-    }
+  using Kind = CliFlag::Kind;
+  std::string error;
+  const auto flags = CliFlags::parse(argc, argv, 4,
+                                     {{"--n", Kind::kSize},
+                                      {"--k", Kind::kSize},
+                                      {"--redundancy", Kind::kNumber},
+                                      {"--loss", Kind::kNumber},
+                                      {"--corrupt", Kind::kNumber},
+                                      {"--v1", Kind::kBool},
+                                      {"--systematic", Kind::kBool},
+                                      {"--seed", Kind::kNumber}},
+                                     &error);
+  if (!flags) {
+    std::fprintf(stderr, "extnc_file encode: %s\n", error.c_str());
+    return usage();
   }
-  if (options.params.n == 0 || options.params.k == 0) {
-    std::fprintf(stderr, "invalid --n/--k\n");
+  net::FileEncodeOptions options;
+  options.params.n = flags->size("--n", options.params.n);
+  options.params.k = flags->size("--k", options.params.k);
+  options.redundancy = flags->number("--redundancy", options.redundancy);
+  options.loss = flags->number("--loss", options.loss);
+  options.corruption = flags->number("--corrupt", options.corruption);
+  if (flags->has("--v1")) options.wire_format = coding::WireFormat::kV1;
+  options.systematic = flags->has("--systematic");
+  const double seed = flags->number("--seed", 1);
+  if (!(seed >= 0 && seed < 0x1p64)) {
+    std::fprintf(stderr, "extnc_file encode: --seed must be in [0, 2^64)\n");
+    return 2;
+  }
+  options.seed = static_cast<std::uint64_t>(seed);
+  if (!(options.redundancy >= 0) || !(options.loss >= 0) ||
+      !(options.loss < 1) || !(options.corruption >= 0) ||
+      !(options.corruption <= 1)) {
+    std::fprintf(stderr,
+                 "extnc_file encode: need --redundancy >= 0, 0 <= --loss < 1"
+                 " and 0 <= --corrupt <= 1\n");
     return 2;
   }
   const auto content = read_file(argv[2]);
