@@ -9,7 +9,8 @@
 //     bytes out; the ratio is the destination-blocking win.
 //   * coding   — the shipping code paths (CpuEncoder full/partitioned,
 //     progressive decode, multi-segment decode) on the process-selected
-//     backend (EXTNC_GF256_BACKEND forces it).
+//     backend (EXTNC_GF256_BACKEND forces it). Each row names its unit:
+//     encode rows count coded bytes produced, decode rows decoded bytes.
 //   * wire     — frame parse with the owned copy (parse) vs the borrowed
 //     view (parse_view) on the decode hot path's packet shape, and CRC32C
 //     over 1 KiB frames (bytes checked) on the process-selected backend
@@ -141,6 +142,9 @@ std::vector<BackendRow> bench_backends(const Shape& shape) {
 struct CodingRow {
   std::string name;
   double mb_per_s = 0;
+  // What the MB count: "coded" bytes an encoder produced, "decoded" bytes
+  // a decoder recovered, "frame" bytes parsed or CRC bytes "checked".
+  std::string unit;
 };
 
 std::vector<coding::CodedBlock> independent_blocks(const Segment& segment,
@@ -175,8 +179,10 @@ std::vector<CodingRow> bench_coding(const Shape& shape, ThreadPool& pool) {
       for (auto& c : batch.coefficients(j)) c = rng.next_nonzero_byte();
     }
     rows.push_back(
-        {label, measure_mb_per_s(shape.repeats, batch.payload_bytes(),
-                                 [&] { encoder.encode_into(batch); })});
+        {label,
+         measure_mb_per_s(shape.repeats, batch.payload_bytes(),
+                          [&] { encoder.encode_into(batch); }),
+         "coded"});
   }
 
   const std::vector<coding::CodedBlock> blocks =
@@ -185,7 +191,8 @@ std::vector<CodingRow> bench_coding(const Shape& shape, ThreadPool& pool) {
                   measure_mb_per_s(shape.repeats, params.segment_bytes(), [&] {
                     coding::ProgressiveDecoder decoder(params);
                     for (const auto& block : blocks) decoder.add(block);
-                  })});
+                  }),
+                  "decoded"});
 
   std::vector<CodedBatch> batches;
   for (std::size_t s = 0; s < shape.segments; ++s) {
@@ -207,7 +214,8 @@ std::vector<CodingRow> bench_coding(const Shape& shape, ThreadPool& pool) {
       {"decode/multiseg",
        measure_mb_per_s(shape.repeats,
                         shape.segments * params.segment_bytes(),
-                        [&] { (void)multiseg.decode_all(batches); })});
+                        [&] { (void)multiseg.decode_all(batches); }),
+       "decoded"});
   return rows;
 }
 
@@ -227,14 +235,16 @@ std::vector<CodingRow> bench_wire(const Shape& shape) {
                       const auto parsed = coding::parse(frame);
                       if (!parsed.ok()) die("parse failed");
                     }
-                  })});
+                  }),
+                  "frame"});
   rows.push_back({"wire/parse_view",
                   measure_mb_per_s(shape.repeats, bytes, [&] {
                     for (std::size_t r = 0; r < rounds; ++r) {
                       const auto parsed = coding::parse_view(frame);
                       if (!parsed.ok()) die("parse_view failed");
                     }
-                  })});
+                  }),
+                  "frame"});
 
   // CRC32C over 1 KiB frames, counted in bytes checked. Each run folds the
   // frame CRCs together; the two backends must agree on the result.
@@ -251,7 +261,7 @@ std::vector<CodingRow> bench_wire(const Shape& shape) {
         folded ^= update(crc32c_init(),
                          crc_data.subspan(f * kCrcFrameBytes, kCrcFrameBytes));
       }
-    })});
+    }), "checked"});
   };
   std::uint32_t selected = 0;
   std::uint32_t table = 0;
@@ -285,15 +295,17 @@ void print_json(const std::vector<BackendRow>& backends,
   std::printf("  ],\n");
   std::printf("  \"coding\": [\n");
   for (std::size_t i = 0; i < coding.size(); ++i) {
-    std::printf("    {\"name\": \"%s\", \"mb_per_s\": %.2f}%s\n",
+    std::printf("    {\"name\": \"%s\", \"mb_per_s\": %.2f, "
+                "\"unit\": \"%s\"}%s\n",
                 coding[i].name.c_str(), coding[i].mb_per_s,
-                i + 1 < coding.size() ? "," : "");
+                coding[i].unit.c_str(), i + 1 < coding.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"wire\": [\n");
   for (std::size_t i = 0; i < wire.size(); ++i) {
-    std::printf("    {\"name\": \"%s\", \"mb_per_s\": %.2f}%s\n",
-                wire[i].name.c_str(), wire[i].mb_per_s,
+    std::printf("    {\"name\": \"%s\", \"mb_per_s\": %.2f, "
+                "\"unit\": \"%s\"}%s\n",
+                wire[i].name.c_str(), wire[i].mb_per_s, wire[i].unit.c_str(),
                 i + 1 < wire.size() ? "," : "");
   }
   std::printf("  ]\n");

@@ -1,5 +1,7 @@
 #include "coding/progressive_decoder.h"
 
+#include <utility>
+
 #include "util/assert.h"
 
 namespace extnc::coding {
@@ -33,6 +35,11 @@ ProgressiveDecoder::Result ProgressiveDecoder::add(
 
 Segment ProgressiveDecoder::decoded_segment() const {
   return Segment::from_bytes(params_, decoded_bytes());
+}
+
+Segment ProgressiveDecoder::take_decoded_segment() && {
+  EXTNC_CHECK(is_complete());
+  return Segment(params_, std::move(basis_).release_payload_rows());
 }
 
 std::span<const std::uint8_t> ProgressiveDecoder::decoded_bytes() const {

@@ -42,6 +42,9 @@ class ProgressiveDecoder {
 
   // Decoded source blocks; only valid when is_complete().
   Segment decoded_segment() const;
+  // The same segment, moved out of a decoder that is no longer needed
+  // instead of copied.
+  Segment take_decoded_segment() &&;
   // The same n*k bytes (source block i at offset i*k) read in place from
   // the full basis, for callers that copy them straight to their
   // destination; only valid when is_complete(), and only while the decoder

@@ -1,11 +1,18 @@
 #include "coding/segment.h"
 
 #include <cstring>
+#include <utility>
 
 namespace extnc::coding {
 
 Segment::Segment(Params params) : params_(params), data_(params.segment_bytes()) {
   params_.validate();
+}
+
+Segment::Segment(Params params, AlignedBuffer data)
+    : params_(params), data_(std::move(data)) {
+  params_.validate();
+  EXTNC_CHECK(data_.size() == params_.segment_bytes());
 }
 
 Segment Segment::from_bytes(Params params, std::span<const std::uint8_t> data) {

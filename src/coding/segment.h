@@ -16,6 +16,8 @@ class Segment {
  public:
   Segment() = default;
   explicit Segment(Params params);
+  // Takes over `data`, which must hold exactly n*k bytes.
+  Segment(Params params, AlignedBuffer data);
 
   // Builds a segment from raw content. Content shorter than n*k is
   // zero-padded; longer content is rejected.

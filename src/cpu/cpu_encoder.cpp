@@ -46,52 +46,50 @@ void CpuEncoder::encode_into(coding::CodedBatch& batch) const {
 }
 
 void CpuEncoder::encode_full_block(coding::CodedBatch& batch) const {
-  // Each worker owns a contiguous range of coded blocks and encodes them
+  // Each thread owns a contiguous range of coded blocks and encodes them
   // start to finish.
   const coding::Params p = params();
   const std::vector<const std::uint8_t*> sources =
       block_pointers(*segment_, p.n);
-  pool_->parallel_for_chunks(
-      batch.count(), [&batch, &sources, p](std::size_t begin, std::size_t end) {
-        const gf256::Ops& ops = gf256::ops();
-        for (std::size_t j = begin; j < end; ++j) {
-          std::uint8_t* out = batch.payload(j).data();
-          std::memset(out, 0, p.k);
-          ops.mul_add_regions(out, sources.data(),
-                              batch.coefficients(j).data(), p.n, p.k);
-        }
-      });
+  const std::size_t parts = std::min(batch.count(), pool_->num_threads());
+  pool_->run_batch(parts, [&batch, &sources, p, parts](std::size_t part) {
+    const gf256::Ops& ops = gf256::ops();
+    const auto [begin, end] = chunk_bounds(batch.count(), parts, part);
+    for (std::size_t j = begin; j < end; ++j) {
+      std::uint8_t* out = batch.payload(j).data();
+      std::memset(out, 0, p.k);
+      ops.mul_add_regions(out, sources.data(), batch.coefficients(j).data(),
+                          p.n, p.k);
+    }
+  });
 }
 
 void CpuEncoder::encode_partitioned(coding::CodedBatch& batch) const {
-  // All workers cooperate on one coded block at a time, each covering a
-  // contiguous byte range of the payload. Ranges are 64-byte aligned so
-  // SIMD region ops stay on full vectors.
+  // All threads cooperate on one coded block at a time, each covering one
+  // contiguous byte slice of the payload. Slices are multiples of 64 bytes
+  // so SIMD region ops stay on full vectors.
   const coding::Params p = params();
-  const std::vector<const std::uint8_t*> sources =
-      block_pointers(*segment_, p.n);
-  const std::size_t workers = std::max<std::size_t>(1, pool_->num_threads());
+  const std::size_t threads = pool_->num_threads();
   const std::size_t slice =
-      std::max<std::size_t>(64, (p.k + workers - 1) / workers);
+      ((p.k + threads - 1) / threads + 63) & ~std::size_t{63};
+  const std::size_t slices = (p.k + slice - 1) / slice;
+  // Source pointers shifted to each slice, shared by every coded block.
+  std::vector<const std::uint8_t*> shifted(slices * p.n);
+  for (std::size_t s = 0; s < slices; ++s) {
+    for (std::size_t i = 0; i < p.n; ++i) {
+      shifted[s * p.n + i] = segment_->block(i).data() + s * slice;
+    }
+  }
   for (std::size_t j = 0; j < batch.count(); ++j) {
     std::uint8_t* out = batch.payload(j).data();
     const std::uint8_t* coeffs = batch.coefficients(j).data();
-    pool_->parallel_for_chunks(
-        (p.k + slice - 1) / slice,
-        [out, coeffs, &sources, p, slice](std::size_t begin, std::size_t end) {
-          const gf256::Ops& ops = gf256::ops();
-          std::vector<const std::uint8_t*> shifted(p.n);
-          for (std::size_t s = begin; s < end; ++s) {
-            const std::size_t offset = s * slice;
-            const std::size_t len = std::min(slice, p.k - offset);
-            for (std::size_t i = 0; i < p.n; ++i) {
-              shifted[i] = sources[i] + offset;
-            }
-            std::memset(out + offset, 0, len);
-            ops.mul_add_regions(out + offset, shifted.data(), coeffs, p.n,
-                                len);
-          }
-        });
+    pool_->run_batch(slices, [out, coeffs, &shifted, p, slice](std::size_t s) {
+      const std::size_t offset = s * slice;
+      const std::size_t len = std::min(slice, p.k - offset);
+      std::memset(out + offset, 0, len);
+      gf256::ops().mul_add_regions(out + offset, shifted.data() + s * p.n,
+                                   coeffs, p.n, len);
+    });
   }
 }
 

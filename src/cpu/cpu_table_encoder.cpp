@@ -33,11 +33,12 @@ void CpuTableEncoder::encode_into(coding::CodedBatch& batch) const {
   EXTNC_CHECK(batch.params() == params_);
   const coding::Params p = params_;
   const std::uint8_t* log_blocks = log_segment_.data();
-  pool_->parallel_for_chunks(
-      batch.count(), [&batch, log_blocks, p](std::size_t begin,
-                                             std::size_t end) {
+  const std::size_t parts = std::min(batch.count(), pool_->num_threads());
+  pool_->run_batch(
+      parts, [&batch, log_blocks, p, parts](std::size_t part) {
         const gf256::Tables& t = gf256::tables();
-        // Step 2: transform this worker's coefficient rows to log domain.
+        const auto [begin, end] = chunk_bounds(batch.count(), parts, part);
+        // Step 2: transform this thread's coefficient rows to log domain.
         AlignedBuffer log_coeffs(p.n);
         for (std::size_t j = begin; j < end; ++j) {
           const std::uint8_t* coeffs = batch.coefficients(j).data();

@@ -1,5 +1,7 @@
 #include "cpu/multi_segment_decoder.h"
 
+#include <utility>
+
 #include "coding/progressive_decoder.h"
 #include "util/assert.h"
 
@@ -18,15 +20,15 @@ std::vector<coding::Segment> MultiSegmentDecoder::decode_all(
     EXTNC_CHECK(batch.count() == params_.n);
   }
   std::vector<coding::Segment> decoded(segments.size());
-  pool_->parallel_for(segments.size(), [this, &segments,
-                                        &decoded](std::size_t s) {
+  pool_->run_batch(segments.size(), [this, &segments,
+                                     &decoded](std::size_t s) {
     coding::ProgressiveDecoder decoder(params_);
     const coding::CodedBatch& batch = segments[s];
     for (std::size_t j = 0; j < batch.count(); ++j) {
       const auto result = decoder.add(batch.coefficients(j), batch.payload(j));
       EXTNC_CHECK(result == coding::ProgressiveDecoder::Result::kAccepted);
     }
-    decoded[s] = decoder.decoded_segment();
+    decoded[s] = std::move(decoder).take_decoded_segment();
   });
   return decoded;
 }

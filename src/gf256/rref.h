@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/aligned_buffer.h"
@@ -61,6 +62,8 @@ class RrefBasis {
   std::span<const std::uint8_t> payload_rows() const {
     return payloads_.span();
   }
+  // The same rows, moved out of a basis that is no longer needed.
+  AlignedBuffer release_payload_rows() && { return std::move(payloads_); }
 
   // Structural invariant check (tests / debug): the stored rows are in
   // RREF as described above, and their count equals rank().

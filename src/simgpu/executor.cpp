@@ -453,7 +453,7 @@ void Launcher::launch(const LaunchConfig& config,
   const std::size_t per_unit = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::max(1, spec_->sms_per_texture_cache)));
   // kAuto additionally requires enough blocks to amortize the run_batch
-  // latch: small launches lose more to dispatch overhead than block
+  // dispatch: small launches lose more to waking workers than block
   // parallelism wins back (BENCH_simspeed showed 0.92-0.97x there). An
   // explicit kParallel still forces the pool — the equivalence suites pin
   // small launches onto it deliberately.

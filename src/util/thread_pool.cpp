@@ -1,18 +1,30 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "util/assert.h"
+#include <exception>
 
 namespace extnc {
+
+// One run_batch call, on its caller's stack. Every field but fn and count
+// is guarded by the pool's mutex_.
+struct ThreadPool::Batch {
+  Batch(const std::function<void(std::size_t)>& f, std::size_t n)
+      : fn(&f), count(n) {}
+
+  const std::function<void(std::size_t)>* fn;
+  std::size_t count;
+  std::size_t claimed = 0;
+  std::size_t finished = 0;
+  std::exception_ptr error;  // first exception of this batch
+  std::condition_variable done;
+  Batch* next = nullptr;  // in pending_ while claimed < count
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
+  workers_.reserve(num_threads - 1);
+  for (std::size_t i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -22,106 +34,58 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stopping_ = true;
   }
-  task_available_.notify_all();
+  work_available_.notify_all();
   for (auto& worker : workers_) worker.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  EXTNC_CHECK(task != nullptr);
-  {
-    std::lock_guard lock(mutex_);
-    EXTNC_CHECK(!stopping_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::exception_ptr error;
-  {
-    std::unique_lock lock(mutex_);
-    all_done_.wait(lock, [this] { return in_flight_ == 0; });
-    error = std::exchange(pending_error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::run_batch(std::size_t count,
                            const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  struct Latch {
-    std::mutex m;
-    std::condition_variable done;
-    std::size_t remaining;
-    std::exception_ptr error;  // first exception of this batch
-  };
-  Latch latch{.remaining = count};
-  for (std::size_t i = 0; i < count; ++i) {
-    // The try/catch lives inside the submitted closure, so a batch task's
-    // exception is owned by this batch's latch — never by the pool-wide
-    // pending_error_ another caller's wait_idle would pick up.
-    submit([&fn, &latch, i] {
-      std::exception_ptr error;
-      try {
-        fn(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard lock(latch.m);
-      if (error && !latch.error) latch.error = std::move(error);
-      if (--latch.remaining == 0) latch.done.notify_one();
-    });
+  Batch batch(fn, count);
+  std::unique_lock lock(mutex_);
+  if (!workers_.empty()) {
+    Batch** tail = &pending_;
+    while (*tail != nullptr) tail = &(*tail)->next;
+    *tail = &batch;
+    const std::size_t helpers = std::min(count - 1, workers_.size());
+    for (std::size_t i = 0; i < helpers; ++i) work_available_.notify_one();
   }
-  std::unique_lock lock(latch.m);
-  latch.done.wait(lock, [&latch] { return latch.remaining == 0; });
-  if (latch.error) std::rethrow_exception(latch.error);
+  while (batch.claimed < batch.count) run_one(batch, lock);
+  batch.done.wait(lock, [&batch] { return batch.finished == batch.count; });
+  lock.unlock();
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& fn) {
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([&fn, i] { fn(i); });
+void ThreadPool::run_one(Batch& batch, std::unique_lock<std::mutex>& lock) {
+  const std::size_t index = batch.claimed++;
+  if (batch.claimed == batch.count && !workers_.empty()) {
+    // Fully claimed: unlink it, so no worker looks at it again and it can
+    // leave its caller's stack once the claimed indices finish.
+    Batch** link = &pending_;
+    while (*link != &batch) link = &(*link)->next;
+    *link = batch.next;
   }
-  wait_idle();
-}
-
-void ThreadPool::parallel_for_chunks(
-    std::size_t count,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (count == 0) return;
-  const std::size_t workers = std::min(count, num_threads());
-  const std::size_t chunk = (count + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    if (begin >= end) break;
-    submit([&fn, begin, end] { fn(begin, end); });
+  lock.unlock();
+  std::exception_ptr error;
+  try {
+    (*batch.fn)(index);
+  } catch (...) {
+    error = std::current_exception();
   }
-  wait_idle();
+  lock.lock();
+  if (error && !batch.error) batch.error = std::move(error);
+  // Notified under the lock: the caller cannot return (and destroy batch)
+  // until this thread releases mutex_ and no longer touches it.
+  if (++batch.finished == batch.count) batch.done.notify_one();
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      task_available_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    std::exception_ptr error;
-    try {
-      task();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mutex_);
-      if (error && !pending_error_) pending_error_ = std::move(error);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
+    work_available_.wait(
+        lock, [this] { return stopping_ || pending_ != nullptr; });
+    if (pending_ == nullptr) return;  // stopping_, and no batch is waiting
+    run_one(*pending_, lock);
   }
 }
 

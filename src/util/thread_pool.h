@@ -1,26 +1,35 @@
-// Fixed-size thread pool with a parallel_for helper.
+// Fixed-size fork-join thread pool.
 //
 // The CPU coding backend follows the paper's two partitioning schemes
-// (per-block partitioned work and full-block-per-thread work); both reduce
-// to "run N independent tasks and wait", which is exactly what this pool
-// provides.
+// (per-block partitioned work and full-block-per-thread work), the
+// multi-segment decoder gives each segment to one thread, and the simulated
+// GPU's parallel engine runs one task per texture-cache unit. All of them
+// reduce to "run fn(i) for i in [0, count) and wait", which is the one thing
+// this pool does: run_batch.
 //
-// Exceptions: a task that throws no longer escapes its worker thread (an
-// escaped exception would std::terminate the process). run_batch rethrows
-// the first exception its own tasks raised, after every task of the batch
-// has finished; submit-path exceptions are held and rethrown by the next
-// wait_idle() (one waiter receives it — with concurrent waiters, the first
-// to wake). parallel_for and parallel_for_chunks wait via wait_idle, so
-// their callers see their tasks' exceptions the same way.
+// The calling thread works too. It claims and runs indices of its own batch
+// next to the workers, then waits only for that batch, so num_threads()
+// counts the caller: a pool of n starts n - 1 workers, and ThreadPool(1)
+// starts none and runs every index on the calling thread.
+//
+// Batches from concurrent callers queue in arrival order; workers take
+// indices from the oldest batch. A caller never waits on another caller's
+// work, and run_batch may be called from inside a running index (nesting):
+// every wait is for indices another thread is already running, so nested
+// and concurrent batches always complete.
+//
+// Exceptions are per batch: an index that throws does not stop the others,
+// and after every index of the batch has run, run_batch rethrows the first
+// exception one of them raised to that batch's caller only.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace extnc {
@@ -34,52 +43,42 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return workers_.size(); }
+  // Threads that compute a batch, the calling thread included.
+  std::size_t num_threads() const { return workers_.size() + 1; }
 
-  // Enqueue one task. Pair with wait_idle() to join a batch. If the task
-  // throws, the exception is captured and rethrown by a later wait_idle().
-  void submit(std::function<void()> task);
-
-  // Block until every submitted task has finished, then rethrow the first
-  // exception any of them raised (if one did).
-  void wait_idle();
-
-  // Run fn(i) for i in [0, count) across the pool and wait for exactly
-  // these tasks. Unlike parallel_for (which joins via the pool-wide
-  // wait_idle), completion is tracked by a per-call latch, so concurrent
-  // callers from different threads do not wait on each other's work.
-  // The remaining tasks of the batch run to completion even after one
-  // throws; the first exception is rethrown to this caller afterwards
-  // (never leaked to other callers' waits).
-  // fn must not submit nested run_batch work from inside a task (the
-  // caller's wait would then depend on queue slots the wait itself holds).
+  // Run fn(i) for every i in [0, count), on the workers and the calling
+  // thread, and return once all have finished. fn is invoked concurrently
+  // and must handle its own data partitioning. Rethrows the first exception
+  // any fn(i) raised, after every index has run.
   void run_batch(std::size_t count, const std::function<void(std::size_t)>& fn);
 
-  // Run fn(i) for i in [0, count) across the pool and wait. fn is invoked
-  // concurrently; it must handle its own data partitioning.
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
-
-  // Split [0, count) into one contiguous chunk per worker and run
-  // fn(begin, end) per chunk. Lower dispatch overhead than parallel_for for
-  // fine-grained loops.
-  void parallel_for_chunks(
-      std::size_t count,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
  private:
-  void worker_loop();
+  struct Batch;
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
+  void worker_loop();
+  // Claim the next index of `batch` and run it; `lock` holds mutex_ on
+  // entry and on return, and is released while fn runs.
+  void run_one(Batch& batch, std::unique_lock<std::mutex>& lock);
+
   std::mutex mutex_;
-  std::condition_variable task_available_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_ = 0;
+  std::condition_variable work_available_;
+  // Batches that still have unclaimed indices, oldest first; each lives on
+  // its caller's stack. Guarded by mutex_, as is stopping_.
+  Batch* pending_ = nullptr;
   bool stopping_ = false;
-  // First exception thrown by a submit-path task since the last
-  // wait_idle(); guarded by mutex_.
-  std::exception_ptr pending_error_;
+  std::vector<std::thread> workers_;
 };
+
+// The half-open range [begin, end) of chunk `part` when [0, count) is split
+// into `parts` contiguous chunks in index order, sizes differing by at most
+// one. With more parts than items the trailing chunks are empty.
+inline std::pair<std::size_t, std::size_t> chunk_bounds(std::size_t count,
+                                                        std::size_t parts,
+                                                        std::size_t part) {
+  const std::size_t base = count / parts;
+  const std::size_t extra = count % parts;
+  const std::size_t begin = part * base + std::min(part, extra);
+  return {begin, begin + base + (part < extra ? 1 : 0)};
+}
 
 }  // namespace extnc

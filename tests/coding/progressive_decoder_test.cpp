@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,22 @@ TEST(ProgressiveDecoder, DecodesAfterExactlyNIndependentBlocks) {
   }
   ASSERT_TRUE(decoder.is_complete());
   EXPECT_EQ(decoder.decoded_segment(), segment);
+}
+
+// take_decoded_segment() moves the basis out instead of copying it; the
+// bytes must be exactly what decoded_segment() copies for the same stream.
+TEST(ProgressiveDecoder, TakeDecodedSegmentEqualsDecodedSegment) {
+  Rng rng(3);
+  const Params params{.n = 24, .k = 200};
+  const Segment segment = Segment::random(params, rng);
+  const Encoder encoder(segment);
+  ProgressiveDecoder decoder(params);
+  while (!decoder.is_complete()) decoder.add(encoder.encode(rng));
+  const Segment copied = decoder.decoded_segment();
+  const Segment taken = std::move(decoder).take_decoded_segment();
+  EXPECT_EQ(taken.params(), params);
+  EXPECT_EQ(taken, copied);
+  EXPECT_EQ(taken, segment);
 }
 
 TEST(ProgressiveDecoder, MaintainsRrefInvariantThroughout) {

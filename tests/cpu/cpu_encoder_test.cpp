@@ -27,20 +27,25 @@ TEST_P(CpuEncoderModes, MatchesReferenceEncoderBitExactly) {
   Rng rng(1);
   const Params params{.n = 32, .k = 257};  // awkward k on purpose
   const Segment segment = Segment::random(params, rng);
-  ThreadPool pool(4);
-  const CpuEncoder cpu_encoder(segment, pool, GetParam());
   const Encoder reference(segment);
+  // Pool sizes around and above the batch and slice counts: the split of
+  // work across threads must never show in the output.
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const CpuEncoder cpu_encoder(segment, pool, GetParam());
+    for (const std::size_t count : {16u, 5u}) {
+      CodedBatch batch(params, count);
+      fill_coefficients(batch, rng);
+      cpu_encoder.encode_into(batch);
 
-  CodedBatch batch(params, 16);
-  fill_coefficients(batch, rng);
-  cpu_encoder.encode_into(batch);
-
-  std::vector<std::uint8_t> expected(params.k);
-  for (std::size_t j = 0; j < batch.count(); ++j) {
-    reference.encode_with_coefficients(batch.coefficients(j), expected);
-    ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
-                           batch.payload(j).begin()))
-        << "block " << j;
+      std::vector<std::uint8_t> expected(params.k);
+      for (std::size_t j = 0; j < batch.count(); ++j) {
+        reference.encode_with_coefficients(batch.coefficients(j), expected);
+        ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                               batch.payload(j).begin()))
+            << "threads " << threads << " count " << count << " block " << j;
+      }
+    }
   }
 }
 

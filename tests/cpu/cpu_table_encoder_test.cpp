@@ -16,15 +16,18 @@ TEST(CpuTableEncoder, MatchesLoopBasedReferenceBitExactly) {
   Rng rng(1);
   const Params params{.n = 16, .k = 200};
   const Segment segment = Segment::random(params, rng);
-  ThreadPool pool(4);
-  const CpuTableEncoder table_encoder(segment, pool);
   const Encoder reference(segment);
-  const CodedBatch batch = table_encoder.encode_batch(10, rng);
-  std::vector<std::uint8_t> expected(params.k);
-  for (std::size_t j = 0; j < batch.count(); ++j) {
-    reference.encode_with_coefficients(batch.coefficients(j), expected);
-    ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
-                           batch.payload(j).begin()));
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const CpuTableEncoder table_encoder(segment, pool);
+    const CodedBatch batch = table_encoder.encode_batch(10, rng);
+    std::vector<std::uint8_t> expected(params.k);
+    for (std::size_t j = 0; j < batch.count(); ++j) {
+      reference.encode_with_coefficients(batch.coefficients(j), expected);
+      ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                             batch.payload(j).begin()))
+          << "threads " << threads << " block " << j;
+    }
   }
 }
 

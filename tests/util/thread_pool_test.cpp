@@ -1,63 +1,25 @@
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/rng.h"
+
 namespace extnc {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPool, ZeroThreadsSelectsHardwareConcurrency) {
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(50);
-  pool.parallel_for(50, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForChunksPartitionExactly) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(101);
-  pool.parallel_for_chunks(101, [&hits](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForChunksEmptyIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for_chunks(0, [&called](std::size_t, std::size_t) {
-    called = true;
-  });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, ParallelForChunksMoreWorkersThanItems) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(3);
-  pool.parallel_for_chunks(3, [&hits](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, RunBatchCoversAllIndices) {
@@ -72,9 +34,22 @@ TEST(ThreadPool, RunBatchZeroIsNoop) {
   pool.run_batch(0, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
-// The property the simgpu parallel engine depends on: run_batch joins
-// exactly its own tasks, so a caller returns even while another caller's
-// longer batch is still draining (wait_idle would wait on everything).
+// num_threads() counts the caller: a pool of one starts no worker, and
+// every index runs on the calling thread.
+TEST(ThreadPool, SingleThreadPoolRunsEveryIndexOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1u);
+  std::vector<std::thread::id> ran_on(16);
+  pool.run_batch(ran_on.size(), [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+// run_batch joins exactly its own indices, so a caller returns even while
+// another caller's batch is still running.
 TEST(ThreadPool, RunBatchConcurrentCallersAreIsolated) {
   ThreadPool pool(4);
   std::atomic<bool> release{false};
@@ -95,6 +70,44 @@ TEST(ThreadPool, RunBatchConcurrentCallersAreIsolated) {
   EXPECT_EQ(slow_done.load(), 2);
 }
 
+// Several threads share one pool with random batch sizes. Each caller must
+// see each of its own indices exactly once, and only its own exceptions.
+TEST(ThreadPool, ConcurrentCallersSeeExactlyTheirOwnIndices) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 200;
+  std::vector<std::thread> callers;
+  std::vector<int> failures(kCallers, 0);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &failures, c] {
+      Rng rng(1000 + static_cast<std::uint64_t>(c));
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t count = rng.next_byte() % 48;
+        const bool throws = count > 0 && round % 7 == 0;
+        const std::size_t thrower = throws ? rng.next_byte() % count : 0;
+        const std::string message = "caller " + std::to_string(c);
+        std::vector<std::atomic<int>> hits(count);
+        try {
+          pool.run_batch(count, [&](std::size_t i) {
+            hits[i].fetch_add(1);
+            if (throws && i == thrower) throw std::runtime_error(message);
+          });
+          if (throws) ++failures[c];
+        } catch (const std::runtime_error& e) {
+          if (!throws || e.what() != message) ++failures[c];
+        }
+        for (const auto& h : hits) {
+          if (h.load() != 1) ++failures[c];
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(failures[c], 0) << "caller " << c;
+  }
+}
+
 TEST(ThreadPool, RunBatchReusableAcrossCalls) {
   ThreadPool pool(2);
   std::atomic<int> counter{0};
@@ -104,14 +117,34 @@ TEST(ThreadPool, RunBatchReusableAcrossCalls) {
   }
 }
 
-TEST(ThreadPool, WaitIdleWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
+// A run_batch issued from inside a running index of the same pool. With a
+// shared task queue this deadlocks once every worker blocks in an inner
+// wait, so the wait is bounded here: a hang fails the test instead of
+// stalling the suite.
+TEST(ThreadPool, NestedRunBatchOnOnePoolCompletes) {
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 8;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  auto rounds = std::async(std::launch::async, [&] {
+    for (int round = 0; round < 50; ++round) {
+      pool.run_batch(kOuter, [&](std::size_t i) {
+        pool.run_batch(kInner, [&, i](std::size_t j) {
+          hits[i * kInner + j].fetch_add(1);
+        });
+      });
+    }
+  });
+  if (rounds.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    // The stuck threads cannot be joined, so no destructor may run.
+    std::fprintf(stderr, "nested run_batch did not complete within 60 s\n");
+    std::_Exit(1);
+  }
+  rounds.get();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 50);
 }
 
 // --- exception propagation -------------------------------------------------
-// A throwing task used to escape its worker thread and std::terminate the
-// process; now the waiter receives it.
 
 TEST(ThreadPool, RunBatchPropagatesTaskException) {
   ThreadPool pool(3);
@@ -123,14 +156,13 @@ TEST(ThreadPool, RunBatchPropagatesTaskException) {
                        if (i == 5) throw std::runtime_error("task 5 failed");
                      }),
       std::runtime_error);
-  // Every task of the batch still ran (the batch drains; it is not
+  // Every index of the batch still ran (the batch drains; it is not
   // cancelled mid-flight).
   EXPECT_EQ(ran.load(), 16);
-  // The pool stays usable and the error does not leak into later waits.
+  // The pool stays usable and the error does not leak into later batches.
   std::atomic<int> after{0};
   pool.run_batch(4, [&after](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 4);
-  pool.wait_idle();  // no stored exception on the submit path
 }
 
 TEST(ThreadPool, RunBatchPreservesExceptionMessage) {
@@ -145,44 +177,50 @@ TEST(ThreadPool, RunBatchPreservesExceptionMessage) {
   }
 }
 
-TEST(ThreadPool, WaitIdleRethrowsSubmitTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("submit failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // Delivered once: the next wait is clean.
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, ParallelForPropagatesViaWaitIdle) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
-               std::runtime_error);
-  std::atomic<int> after{0};
-  pool.parallel_for(4, [&after](std::size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 4);
-}
-
-TEST(ThreadPool, DestructorWithPendingExceptionDoesNotTerminate) {
-  {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("never observed"); });
-    // Destroyed without wait_idle: the stored exception is discarded.
+// The caller always claims at least the first index itself; an exception
+// from an index it ran reaches it only after every index has run.
+TEST(ThreadPool, ExceptionFromCallerRunIndexReachesCallerAfterAllIndices) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
+  try {
+    pool.run_batch(32, [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        ran.fetch_add(1);
+        throw std::runtime_error("caller index failed");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ran.fetch_add(1);
+    });
+    FAIL() << "run_batch must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller index failed");
   }
-  SUCCEED();
+  EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 5; ++batch) {
-    for (int i = 0; i < 10; ++i) pool.submit([&counter] { counter.fetch_add(1); });
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), (batch + 1) * 10);
+// --- chunk_bounds ----------------------------------------------------------
+
+TEST(ThreadPool, ChunkBoundsPartitionExactly) {
+  for (const std::size_t count : {0u, 1u, 2u, 3u, 7u, 64u, 101u, 1000u}) {
+    for (const std::size_t parts : {1u, 2u, 3u, 4u, 8u, 200u}) {
+      std::size_t next = 0;
+      for (std::size_t part = 0; part < parts; ++part) {
+        const auto [begin, end] = chunk_bounds(count, parts, part);
+        EXPECT_EQ(begin, next) << count << "/" << parts << " part " << part;
+        EXPECT_LE(begin, end);
+        // Sizes differ by at most one, larger chunks first.
+        EXPECT_TRUE(end - begin == count / parts ||
+                    end - begin == count / parts + 1);
+        if (part > 0) {
+          const auto [prev_begin, prev_end] =
+              chunk_bounds(count, parts, part - 1);
+          EXPECT_GE(prev_end - prev_begin, end - begin);
+        }
+        next = end;
+      }
+      EXPECT_EQ(next, count) << count << "/" << parts;
+    }
   }
 }
 
