@@ -15,6 +15,10 @@
 //     view (parse_view) on the decode hot path's packet shape, and CRC32C
 //     over 1 KiB frames (bytes checked) on the process-selected backend
 //     (wire/crc32c) and on the portable table loop (wire/crc32c_table).
+//   * file     — net::encode_file / net::decode_file end to end on 16 MiB
+//     at n=32, k=1 KiB (redundancy 1/16), at pool sizes 1, 2 and 4: the
+//     generation-parallel scaling curve. Rows count source bytes, and the
+//     bench dies if a round trip is not exact.
 //
 // Usage:
 //   host_coding [--quick] [--json] [--csv]
@@ -45,6 +49,7 @@
 #include "cpu/cpu_encoder.h"
 #include "cpu/multi_segment_decoder.h"
 #include "gf256/region.h"
+#include "net/file_transfer.h"
 #include "util/aligned_buffer.h"
 #include "util/checksum.h"
 #include "util/rng.h"
@@ -271,9 +276,47 @@ std::vector<CodingRow> bench_wire(const Shape& shape) {
   return rows;
 }
 
+struct FileRow {
+  std::string name;
+  std::size_t pool_threads = 0;
+  double mb_per_s = 0;
+};
+
+constexpr std::size_t kFilePoolSizes[] = {1, 2, 4};
+
+// The whole file pipeline, same shape in quick and full mode (it is the
+// CI-sized curve); each pool size gets its own ThreadPool.
+std::vector<FileRow> bench_file(const Shape& shape) {
+  Rng rng(24);
+  std::vector<std::uint8_t> content(std::size_t{16} << 20);
+  for (auto& b : content) b = rng.next_byte();
+  net::FileEncodeOptions options;
+  options.params = {.n = 32, .k = 1024};
+  options.redundancy = 1.0 / 16;
+  std::vector<FileRow> rows;
+  for (const std::size_t threads : kFilePoolSizes) {
+    ThreadPool pool(threads);
+    std::vector<std::uint8_t> container;
+    rows.push_back({"file/encode", threads,
+                    measure_mb_per_s(shape.repeats, content.size(), [&] {
+                      container = net::encode_file(content, options, pool);
+                    })});
+    net::FileDecodeResult decoded;
+    rows.push_back({"file/decode", threads,
+                    measure_mb_per_s(shape.repeats, content.size(), [&] {
+                      decoded = net::decode_file(container, pool);
+                    })});
+    if (!decoded.ok || decoded.content != content) {
+      die("file round trip is not exact: " + decoded.error);
+    }
+  }
+  return rows;
+}
+
 void print_json(const std::vector<BackendRow>& backends,
                 const std::vector<CodingRow>& coding,
-                const std::vector<CodingRow>& wire, const Shape& shape,
+                const std::vector<CodingRow>& wire,
+                const std::vector<FileRow>& file, const Shape& shape,
                 bool quick, std::size_t pool_threads) {
   std::printf("{\n");
   std::printf("  \"bench\": \"hostpath\",\n");
@@ -307,6 +350,21 @@ void print_json(const std::vector<BackendRow>& backends,
                 "\"unit\": \"%s\"}%s\n",
                 wire[i].name.c_str(), wire[i].mb_per_s, wire[i].unit.c_str(),
                 i + 1 < wire.size() ? "," : "");
+  }
+  std::printf("  ],\n");
+  std::printf("  \"file_host_cores\": %u,\n",
+              std::thread::hardware_concurrency());
+  std::printf("  \"file_pool_threads\": [");
+  for (std::size_t i = 0; i < std::size(kFilePoolSizes); ++i) {
+    std::printf("%s%zu", i > 0 ? ", " : "", kFilePoolSizes[i]);
+  }
+  std::printf("],\n");
+  std::printf("  \"file\": [\n");
+  for (std::size_t i = 0; i < file.size(); ++i) {
+    std::printf("    {\"name\": \"%s\", \"pool_threads\": %zu, "
+                "\"mb_per_s\": %.2f, \"unit\": \"source\"}%s\n",
+                file[i].name.c_str(), file[i].pool_threads, file[i].mb_per_s,
+                i + 1 < file.size() ? "," : "");
   }
   std::printf("  ]\n");
   std::printf("}\n");
@@ -347,9 +405,11 @@ int run(int argc, char** argv) {
   const std::vector<BackendRow> backends = bench_backends(shape);
   const std::vector<CodingRow> coding = bench_coding(shape, pool);
   const std::vector<CodingRow> wire = bench_wire(shape);
+  const std::vector<FileRow> file = bench_file(shape);
 
   if (json) {
-    print_json(backends, coding, wire, shape, quick, pool.num_threads());
+    print_json(backends, coding, wire, file, shape, quick,
+               pool.num_threads());
   } else {
     TablePrinter backend_table(
         {"backend", "fused MB/s", "per-row MB/s", "fused speedup"});
@@ -367,6 +427,12 @@ int run(int argc, char** argv) {
       path_table.add_row({row.name, std::to_string(row.mb_per_s)});
     }
     print_table(path_table, csv);
+    TablePrinter file_table({"path", "pool threads", "source MB/s"});
+    for (const FileRow& row : file) {
+      file_table.add_row({row.name, std::to_string(row.pool_threads),
+                          std::to_string(row.mb_per_s)});
+    }
+    print_table(file_table, csv);
   }
 
   if (min_mb_per_s > 0) {

@@ -25,7 +25,7 @@ void Encoder::encode_with_coefficients(
   // One fused destination-blocked pass over all n sources instead of n
   // separate sweeps of the payload.
   std::vector<const std::uint8_t*> sources(p.n);
-  for (std::size_t i = 0; i < p.n; ++i) sources[i] = segment_->block(i).data();
+  for (std::size_t i = 0; i < p.n; ++i) sources[i] = blocks_ + i * p.k;
   gf256::ops().mul_add_regions(payload.data(), sources.data(),
                                coefficients.data(), p.n, p.k);
 }

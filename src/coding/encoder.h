@@ -18,13 +18,18 @@ namespace extnc::coding {
 
 class Encoder {
  public:
-  // The encoder keeps a reference to the segment; the segment must outlive
-  // the encoder (source blocks are large; we never copy them).
+  // The encoder borrows the n source blocks of k bytes at `blocks` (block
+  // i at blocks + i*k, no alignment required); they must outlive the
+  // encoder (source blocks are large; we never copy them).
+  Encoder(Params params, const std::uint8_t* blocks,
+          CoefficientModel model = CoefficientModel::dense())
+      : params_(params), blocks_(blocks), model_(model) {}
+  // Borrows the segment's blocks; the segment must outlive the encoder.
   explicit Encoder(const Segment& segment,
                    CoefficientModel model = CoefficientModel::dense())
-      : segment_(&segment), model_(model) {}
+      : Encoder(segment.params(), segment.data(), model) {}
 
-  const Params& params() const { return segment_->params(); }
+  const Params& params() const { return params_; }
 
   // Draw a fresh random coefficient vector and produce one coded block.
   CodedBlock encode(Rng& rng) const;
@@ -39,7 +44,8 @@ class Encoder {
                          std::span<std::uint8_t> coefficients) const;
 
  private:
-  const Segment* segment_;
+  Params params_;
+  const std::uint8_t* blocks_;
   CoefficientModel model_;
 };
 

@@ -1,6 +1,6 @@
 #include "coding/generation_stream.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "util/assert.h"
 
@@ -11,28 +11,26 @@ GenerationEncoder::GenerationEncoder(Params params,
                                      bool systematic, WireFormat wire_format)
     : params_(params),
       content_bytes_(content.size()),
+      content_(content.data()),
       use_systematic_(systematic),
       wire_format_(wire_format) {
   params_.validate();
   const std::size_t per_generation = params_.segment_bytes();
-  const std::size_t count =
-      content.empty() ? 1 : (content.size() + per_generation - 1) / per_generation;
-  segments_.reserve(count);
-  for (std::size_t g = 0; g < count; ++g) {
-    const std::size_t offset = g * per_generation;
-    const std::size_t len =
-        std::min(per_generation, content.size() - std::min(content.size(), offset));
-    segments_.push_back(
-        Segment::from_bytes(params_, content.subspan(offset, len)));
+  generations_ = content.empty()
+                     ? 1
+                     : (content.size() + per_generation - 1) / per_generation;
+  const std::size_t full = content.size() / per_generation;
+  if (full < generations_) {
+    tail_ = Segment::from_bytes(params_, content.subspan(full * per_generation));
   }
-  // Encoders hold pointers into segments_; construct only after the vector
-  // is final.
-  systematic_.reserve(count);
-  coded_.reserve(count);
-  for (const Segment& segment : segments_) {
-    systematic_.emplace_back(segment);
-    coded_.emplace_back(segment);
-  }
+  if (use_systematic_) systematic_sent_.assign(generations_, 0);
+}
+
+const std::uint8_t* GenerationEncoder::generation_blocks(
+    std::uint32_t generation) const {
+  const std::size_t offset = generation * params_.segment_bytes();
+  return offset + params_.segment_bytes() <= content_bytes_ ? content_ + offset
+                                                            : tail_.data();
 }
 
 std::vector<std::uint8_t> GenerationEncoder::encode_packet(
@@ -45,23 +43,34 @@ std::vector<std::uint8_t> GenerationEncoder::encode_packet(
 void GenerationEncoder::encode_packet_into(std::uint32_t generation,
                                            Rng& rng,
                                            std::span<std::uint8_t> out) {
-  EXTNC_CHECK(generation < segments_.size());
   EXTNC_CHECK(out.size() == packet_bytes());
-  // Coded straight into the frame body, then framed in place.
-  const auto coefficients = out.subspan(kWireHeaderBytes, params_.n);
-  const auto payload = out.subspan(kWireHeaderBytes + params_.n, params_.k);
-  if (use_systematic_) {
-    systematic_[generation].next_into(rng, coefficients, payload);
-  } else {
-    coded_[generation].draw_coefficients(rng, coefficients);
-    coded_[generation].encode_with_coefficients(coefficients, payload);
-  }
-  seal_frame(generation, params_, out, wire_format_);
+  draw_coefficients(generation, rng, out.subspan(kWireHeaderBytes, params_.n));
+  code_frame(generation, out);
 }
 
-SegmentDigest GenerationEncoder::digest(std::uint32_t generation) const {
-  EXTNC_CHECK(generation < segments_.size());
-  return SegmentDigest::compute(segments_[generation], generation);
+void GenerationEncoder::draw_coefficients(std::uint32_t generation, Rng& rng,
+                                          std::span<std::uint8_t> row) {
+  EXTNC_CHECK(generation < generations_);
+  EXTNC_CHECK(row.size() == params_.n);
+  if (use_systematic_ && systematic_sent_[generation] < params_.n) {
+    std::fill(row.begin(), row.end(), 0);
+    row[systematic_sent_[generation]++] = 1;
+    return;
+  }
+  CoefficientModel::dense().draw(rng, row);
+}
+
+void GenerationEncoder::code_frame(std::uint32_t generation,
+                                   std::span<std::uint8_t> out) const {
+  EXTNC_CHECK(generation < generations_);
+  EXTNC_CHECK(out.size() == packet_bytes());
+  // A unit row codes to a copy of its source block, so systematic and
+  // coded emissions share this one kernel call.
+  Encoder(params_, generation_blocks(generation))
+      .encode_with_coefficients(
+          out.subspan(kWireHeaderBytes, params_.n),
+          out.subspan(kWireHeaderBytes + params_.n, params_.k));
+  seal_frame(generation, params_, out, wire_format_);
 }
 
 std::vector<std::uint8_t> GenerationEncoder::encode_next_packet(Rng& rng) {
@@ -81,38 +90,46 @@ GenerationDecoder::GenerationDecoder(Params params, std::size_t generations)
 
 GenerationDecoder::Accept GenerationDecoder::add_packet(
     std::span<const std::uint8_t> wire_bytes) {
+  const std::optional<PacketView> packet =
+      accept(wire_bytes, params_, decoders_.size());
+  if (!packet.has_value()) {
+    ++rejected_;
+    return Accept::kRejected;
+  }
+  auto& slot = decoders_[packet->generation];
+  if (!slot) slot = std::make_unique<ProgressiveDecoder>(params_);
+  const Accept outcome = feed(*slot, *packet);
+  if (outcome == Accept::kGenerationComplete) ++completed_;
+  return outcome;
+}
+
+std::optional<PacketView> GenerationDecoder::accept(
+    std::span<const std::uint8_t> wire_bytes, const Params& params,
+    std::size_t generations) {
   // Zero-copy hot path: the decoder reduces the coefficient and payload
   // regions straight out of the validated frame; nothing is copied unless
   // the block lands in the RREF basis (which ProgressiveDecoder stores by
   // value either way).
   const ParseViewResult result = parse_view(wire_bytes);
-  if (!result.ok()) {
-    ++rejected_;
-    return Accept::kRejected;
-  }
+  if (!result.ok()) return std::nullopt;
   const PacketView& packet = result.packet();
-  if (packet.generation >= decoders_.size() ||
-      !(packet.block.params() == params_)) {
-    ++rejected_;
-    return Accept::kRejected;
+  if (packet.generation >= generations || !(packet.block.params() == params)) {
+    return std::nullopt;
   }
-  auto& slot = decoders_[packet.generation];
-  if (!slot) slot = std::make_unique<ProgressiveDecoder>(params_);
-  ProgressiveDecoder& decoder = *slot;
-  const auto outcome =
-      decoder.add(packet.block.coefficients(), packet.block.payload());
-  switch (outcome) {
+  return packet;
+}
+
+GenerationDecoder::Accept GenerationDecoder::feed(ProgressiveDecoder& decoder,
+                                                  const PacketView& packet) {
+  switch (decoder.add(packet.block.coefficients(), packet.block.payload())) {
     case ProgressiveDecoder::Result::kAccepted:
-      if (decoder.is_complete()) {
-        ++completed_;
-        return Accept::kGenerationComplete;
-      }
-      return Accept::kInnovative;
+      return decoder.is_complete() ? Accept::kGenerationComplete
+                                   : Accept::kInnovative;
     case ProgressiveDecoder::Result::kLinearlyDependent:
     case ProgressiveDecoder::Result::kAlreadyComplete:
       return Accept::kDependent;
   }
-  return Accept::kRejected;
+  return Accept::kDependent;
 }
 
 std::size_t GenerationDecoder::generation_rank(std::size_t generation) const {

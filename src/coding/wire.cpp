@@ -68,6 +68,11 @@ void seal_frame(std::uint32_t generation, const Params& params,
   }
 }
 
+std::uint32_t peek_generation(std::span<const std::uint8_t> frame) {
+  EXTNC_CHECK(frame.size() >= kWireHeaderBytes);
+  return get_u32(frame.data() + 4);
+}
+
 ParseResult ParseResult::success(Packet packet) {
   ParseResult result;
   result.packet_ = std::move(packet);

@@ -98,6 +98,12 @@ void seal_frame(std::uint32_t generation, const Params& params,
                 std::span<std::uint8_t> out,
                 WireFormat format = WireFormat::kV2);
 
+// The generation id field of a frame of at least kWireHeaderBytes
+// (checked), read without validating anything else: no magic, shape or CRC
+// check. For routing only (net::decode_file buckets a container by it);
+// the packet must still pass parse_view before its id is trusted.
+std::uint32_t peek_generation(std::span<const std::uint8_t> frame);
+
 enum class ParseError {
   kTooShort,
   kBadMagic,

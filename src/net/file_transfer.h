@@ -31,6 +31,7 @@
 #include "coding/params.h"
 #include "coding/wire.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace extnc::net {
 
@@ -52,7 +53,8 @@ struct FileEncodeOptions {
   coding::WireFormat wire_format = coding::WireFormat::kV2;
   // Optional seed-encoder factory (same shape as the swarm hooks): invoked
   // once with (params, content); the returned closure produces each coded
-  // block in place of the built-in GenerationEncoder. Incompatible with
+  // block in place of the built-in GenerationEncoder, on the calling
+  // thread, once per packet in packet order. Incompatible with
   // `systematic` (the hook only emits coded blocks). See
   // gpu::ResilientSeed::bind_content.
   using SeedBlockFn =
@@ -70,9 +72,19 @@ struct FileInfo {
   coding::WireFormat wire_format = coding::WireFormat::kV2;
 };
 
+// Threading: both calls run generation-parallel on `pool` (by default the
+// process-wide default_pool()). The container, the decoded bytes, the
+// counts and the error strings do not depend on the pool or its size:
+// encode_file replays the seeded packet loop serially (coefficients, loss
+// and corruption draws, and the seed hook, which therefore need not be
+// thread-safe) and only then codes the payloads of the surviving packets
+// in parallel; decode_file buckets packets by generation and decodes each
+// generation as one receiver would, in container order.
+
 // Encode `content` into a coded container.
 std::vector<std::uint8_t> encode_file(std::span<const std::uint8_t> content,
-                                      const FileEncodeOptions& options);
+                                      const FileEncodeOptions& options,
+                                      ThreadPool& pool = default_pool());
 
 // Parse just the container header; nullopt if malformed.
 std::optional<FileInfo> describe_file(std::span<const std::uint8_t> container);
@@ -86,6 +98,14 @@ struct FileDecodeResult {
   std::size_t packets_rejected = 0;
 };
 
-FileDecodeResult decode_file(std::span<const std::uint8_t> container);
+// Decode a container. Damaged, malformed or misrouted packets are counted
+// as rejected, never fatal. On failure `error` names the first problem in
+// this order: "container truncated" (the counts cover the whole packets
+// that fit), "insufficient independent packets (X/Y generations
+// complete)", "reassembled size inconsistent" (the header declares more
+// content than its generations hold; `content` then holds every
+// generation).
+FileDecodeResult decode_file(std::span<const std::uint8_t> container,
+                             ThreadPool& pool = default_pool());
 
 }  // namespace extnc::net

@@ -1,13 +1,33 @@
 #include "util/file_io.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 
+#include "util/large_buffer.h"
+
 namespace extnc {
+
+namespace {
+
+// Bytes a regular file holds now; 0 for anything else (a pipe, a device)
+// or when the size cannot be read.
+std::size_t regular_file_size(std::FILE* file) {
+  struct stat info {};
+  if (::fstat(::fileno(file), &info) != 0 || !S_ISREG(info.st_mode)) return 0;
+  return static_cast<std::size_t>(info.st_size);
+}
+
+}  // namespace
 
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> data;
+  // Sized once from the file's size and read straight into place. Whatever
+  // follows (everything, for a pipe; the new tail of a growing file) is
+  // read on in chunks until end of file.
+  std::vector<std::uint8_t> data = large_zeroed_buffer(regular_file_size(file));
+  data.resize(data.empty() ? 0 : std::fread(data.data(), 1, data.size(), file));
   std::uint8_t buffer[64 * 1024];
   std::size_t bytes_read;
   while ((bytes_read = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {

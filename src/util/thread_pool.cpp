@@ -89,4 +89,9 @@ void ThreadPool::worker_loop() {
   }
 }
 
+ThreadPool& default_pool() {
+  static ThreadPool pool;
+  return pool;
+}
+
 }  // namespace extnc

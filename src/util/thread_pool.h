@@ -69,6 +69,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+// The process-wide pool for library paths that take a pool argument with a
+// default (net::encode_file, net::decode_file): hardware_concurrency()
+// threads, the caller counted, built on first use. Sharing one pool keeps a
+// process that calls them from many places at no more than that many
+// computing threads.
+ThreadPool& default_pool();
+
 // The half-open range [begin, end) of chunk `part` when [0, count) is split
 // into `parts` contiguous chunks in index order, sizes differing by at most
 // one. With more parts than items the trailing chunks are empty.

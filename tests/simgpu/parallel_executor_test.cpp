@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -356,6 +357,19 @@ TEST(EngineEquivalenceSynthetic, ParallelEngineActuallyRunsOffThread) {
                     block.step([&](ThreadCtx&) {});
                     if (std::this_thread::get_id() != caller) {
                       off_thread.fetch_add(1);
+                      return;
+                    }
+                    // The caller runs texture units of its own launch too,
+                    // and on a loaded host it could finish all of them
+                    // before a parked worker wakes. Holding each of its
+                    // blocks until a worker has run one (or a generous
+                    // deadline passes) leaves the remaining units to the
+                    // workers without racing their wake-up.
+                    const auto deadline = std::chrono::steady_clock::now() +
+                                          std::chrono::seconds(10);
+                    while (off_thread.load() == 0 &&
+                           std::chrono::steady_clock::now() < deadline) {
+                      std::this_thread::yield();
                     }
                   });
   EXPECT_GT(off_thread.load(), 0);

@@ -1,7 +1,10 @@
 #include "util/file_io.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +66,22 @@ TEST(FileIo, LargeFileRoundTrip) {
   const std::string path = temp_path("large.bin");
   ASSERT_TRUE(write_file(path, data));
   const auto back = read_file(path);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, data);
+  std::remove(path.c_str());
+}
+
+// A pipe has no size to allocate from; it is read in chunks to its end.
+TEST(FileIo, ReadsAFifoToTheEnd) {
+  const std::string path = temp_path("fifo.bin");
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  Rng rng(3);
+  std::vector<std::uint8_t> data(300 * 1024 + 5);
+  for (auto& b : data) b = rng.next_byte();
+  std::thread writer([&] { EXPECT_TRUE(write_file(path, data)); });
+  const auto back = read_file(path);
+  writer.join();
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, data);
   std::remove(path.c_str());

@@ -22,6 +22,16 @@ TEST(ThreadPool, ZeroThreadsSelectsHardwareConcurrency) {
   EXPECT_GE(pool.num_threads(), 1u);
 }
 
+TEST(ThreadPool, DefaultPoolIsOneHardwareSizedPool) {
+  ThreadPool& pool = default_pool();
+  EXPECT_EQ(&pool, &default_pool());
+  EXPECT_EQ(pool.num_threads(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  std::atomic<int> hits{0};
+  pool.run_batch(16, [&hits](std::size_t) { hits.fetch_add(1); });
+  EXPECT_EQ(hits.load(), 16);
+}
+
 TEST(ThreadPool, RunBatchCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(64);
