@@ -7,6 +7,12 @@
 // needs real elimination — a standard practical refinement of the
 // random-code the paper accelerates. The progressive decoder handles the
 // mixture transparently.
+//
+// coding::GenerationEncoder (coding/generation_stream.h) applies the same
+// rule per generation of a file, coding each unit row through its kernel
+// (the same bytes as the copy made here). This class stays the rule's
+// reference: the GenerationStream tests check GenerationEncoder's
+// systematic packets against it, so the two cannot drift apart unseen.
 #pragma once
 
 #include <cstddef>
