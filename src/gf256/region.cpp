@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "gf256/gf.h"
-#include "gf256/swar.h"
 
 namespace extnc::gf256 {
 
@@ -55,87 +54,12 @@ void scalar_mul_add_regions(std::uint8_t* dst,
   }
 }
 
-// ---------------------------------------------------------------- swar64
-//
-// Loop-based multiplication over 8 packed bytes per step. Head/tail bytes
-// (to reach 8-byte alignment of dst) go through the scalar path.
-
-void swar64_add(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t d;
-    std::uint64_t s;
-    std::memcpy(&d, dst + i, 8);
-    std::memcpy(&s, src + i, 8);
-    d ^= s;
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < len; ++i) dst[i] ^= src[i];
-}
-
-void swar64_mul(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                std::size_t len) {
-  if (c == 0) {
-    if (len != 0) std::memset(dst, 0, len);  // empty span may carry nullptr
-    return;
-  }
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t s;
-    std::memcpy(&s, src + i, 8);
-    const std::uint64_t d = mul_byte_word(c, s);
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < len; ++i) dst[i] = mul_loop(c, src[i]);
-}
-
-void swar64_mul_add(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                    std::size_t len) {
-  if (c == 0) return;
-  std::size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    std::uint64_t d;
-    std::uint64_t s;
-    std::memcpy(&d, dst + i, 8);
-    std::memcpy(&s, src + i, 8);
-    d ^= mul_byte_word(c, s);
-    std::memcpy(dst + i, &d, 8);
-  }
-  for (; i < len; ++i) dst[i] ^= mul_loop(c, src[i]);
-}
-
-void swar64_scale(std::uint8_t* dst, std::uint8_t c, std::size_t len) {
-  swar64_mul(dst, dst, c, len);
-}
-
-// SWAR multiplication is compute-bound, not load/store-bound: per-row
-// calls let the compiler hoist the coefficient-dependent mask work out of
-// the byte loop, which is worth more than the destination traffic a fused
-// accumulator would save (a grouped variant measured 10-25% slower in
-// bench/micro_gf256). The SIMD backends, whose multiplies are one
-// instruction, fuse for real.
-void swar64_mul_add_regions(std::uint8_t* dst,
-                            const std::uint8_t* const* srcs,
-                            const std::uint8_t* coeffs, std::size_t count,
-                            std::size_t len) {
-  for (std::size_t j = 0; j < count; ++j) {
-    swar64_mul_add(dst, srcs[j], coeffs[j], len);
-  }
-}
-
 }  // namespace
 
 const Ops& scalar_ops() {
   static constexpr Ops ops{"scalar",     scalar_add,
                            scalar_mul,   scalar_mul_add,
                            scalar_scale, scalar_mul_add_regions};
-  return ops;
-}
-
-const Ops& swar64_ops() {
-  static constexpr Ops ops{"swar64",     swar64_add,
-                           swar64_mul,   swar64_mul_add,
-                           swar64_scale, swar64_mul_add_regions};
   return ops;
 }
 

@@ -5,8 +5,8 @@
 // One function-pointer dispatch table is selected at startup from the best
 // instruction set the host supports. The ladder, best first:
 //
-//   x86-64:  gfni512 > gfni256 > avx2 > ssse3 > swar64 > scalar
-//   arm64:   neon > swar64 > scalar
+//   x86-64:  gfni512 > gfni256 > avx2 > ssse3 > scalar
+//   arm64:   neon > scalar
 //
 // The environment variable EXTNC_GF256_BACKEND forces a specific backend
 // process-wide (CI loops the unit tests over every supported name); an
@@ -81,9 +81,5 @@ const Ops* resolve_backend(std::string_view name, std::string* error);
 
 // Scalar reference backend (table-driven); used by tests as ground truth.
 const Ops& scalar_ops();
-
-// Portable 64-bit SWAR backend (loop-based multiplication, the CPU analog
-// of the paper's GPU kernel inner loop).
-const Ops& swar64_ops();
 
 }  // namespace extnc::gf256

@@ -8,8 +8,9 @@
 // then c * b == lo[b & 0xf] ^ hi[b >> 4], which pshufb evaluates for 16
 // (SSSE3) or 32 (AVX2) bytes per instruction. This is the modern
 // equivalent of the paper's SSE2 loop-based vectorization, and strictly
-// faster; the swar64 backend preserves the paper's original strategy for
-// comparison (bench/micro_gf256 measures both).
+// faster. The paper's loop-based multiply lives on in gf256/swar.h for the
+// simulated kernels; as a host backend it ran slower than the scalar table
+// lookup, so it is not on the ladder.
 //
 // Every backend also ships a fused mul_add_regions kernel: sources are
 // processed in register-resident groups against a destination block that
@@ -583,8 +584,8 @@ const Ops kGfni512Ops{"gfni512",     gfni512_add,
 // Every name compiled into any build, in ladder order. find_backend and
 // the error paths enumerate from here (and from available_backends()), so
 // adding a backend updates every tool and message automatically.
-constexpr std::array<std::string_view, 7> kRegisteredNames = {
-    "gfni512", "gfni256", "avx2", "ssse3", "neon", "swar64", "scalar"};
+constexpr std::array<std::string_view, 6> kRegisteredNames = {
+    "gfni512", "gfni256", "avx2", "ssse3", "neon", "scalar"};
 
 std::vector<const Ops*> detect_backends() {
   std::vector<const Ops*> backends;
@@ -602,7 +603,6 @@ std::vector<const Ops*> detect_backends() {
   if (__builtin_cpu_supports("ssse3")) backends.push_back(&kSsse3Ops);
 #endif
   if (const Ops* neon = neon_backend()) backends.push_back(neon);
-  backends.push_back(&swar64_ops());
   backends.push_back(&scalar_ops());
   return backends;
 }

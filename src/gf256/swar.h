@@ -5,8 +5,7 @@
 // per thread ("single byte by 4-byte word GF-multiplication", Sec. 4.1):
 // CUDA cores have plain 32-bit ALUs, so each thread multiplies a
 // coefficient into one 32-bit word of the source block per step. The
-// 64-bit form is what a scalar CPU without vector units would use, and is
-// also the building block of the SSE2 fallback region ops.
+// 64-bit form is the CPU analog that bench/micro_gf256 times.
 #pragma once
 
 #include <cstdint>

@@ -35,14 +35,27 @@ struct PerWordCosts {
   double texture_misses = 0;
 };
 
+// Every DeviceSpec field except the name, so two specs that model the same
+// part share a key and a spec is identified by its values, never by the
+// address it happens to live at (callers pass short-lived copies).
+auto spec_fields(const simgpu::DeviceSpec& s) {
+  return std::make_tuple(
+      s.num_sms, s.cores_per_sm, s.core_clock_hz, s.mem_bandwidth_bytes_per_s,
+      s.shared_mem_per_sm, s.shared_banks, s.shared_cycles_per_access,
+      s.warp_size, s.half_warp, s.max_threads_per_block, s.global_mem_bytes,
+      s.has_shared_atomics, s.sms_per_texture_cache, s.texture_cache_bytes,
+      s.texture_cache_line_bytes, s.coalesce_segment_bytes);
+}
+
 // One calibration run per (device, scheme, n): per-output-word costs.
 PerWordCosts calibrate_encode(const simgpu::DeviceSpec& spec,
                               EncodeScheme scheme, std::size_t n,
                               const EncodeModelOptions& options) {
-  using Key = std::tuple<const simgpu::DeviceSpec*, EncodeScheme, std::size_t>;
+  using Key =
+      std::tuple<decltype(spec_fields(spec)), EncodeScheme, std::size_t>;
   static std::map<Key, PerWordCosts> cache;
   static std::mutex mutex;
-  const Key key{&spec, scheme, n};
+  const Key key{spec_fields(spec), scheme, n};
   {
     std::lock_guard lock(mutex);
     auto it = cache.find(key);

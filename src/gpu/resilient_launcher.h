@@ -64,7 +64,8 @@ struct SupervisorConfig {
   // reset_breaker(). Requires a clock; with none attached the breaker
   // never half-opens.
   double breaker_cooldown_s = 0;
-  // Rows sampled by the CRC spot-check verifiers.
+  // Rows the verifiers re-encode and byte-compare with the reference per
+  // operation (random rows; every row once this reaches the row count).
   std::size_t verify_sample = 2;
   // Metric name prefix.
   std::string metric_prefix = "gpu.resilient";
@@ -184,11 +185,11 @@ class ResilientLauncher {
 };
 
 // GPU encoder under supervision: same interface shape as GpuEncoder, but
-// every batch is watchdog-timed, CRC-spot-checked against the reference
-// coding::Encoder, retried on transient faults and re-encoded on the CPU
-// (cpu::CpuTableEncoder — bit-exact by construction) when the GPU path is
-// unavailable. Coefficients are drawn once per batch, so the output bytes
-// are identical whichever path computed them.
+// every batch is watchdog-timed, byte-compared on verify_sample rows with
+// the reference coding::Encoder, retried on transient faults and
+// re-encoded on the CPU (cpu::CpuTableEncoder — bit-exact by construction)
+// when the GPU path is unavailable. Coefficients are drawn once per batch,
+// so the output bytes are identical whichever path computed them.
 class ResilientEncoder {
  public:
   ResilientEncoder(const simgpu::DeviceSpec& spec,

@@ -154,17 +154,19 @@ SegmentResult FleetScheduler::encode_segment(std::size_t device,
   }
   ++slot.segments;
 
-  // Full bit-exactness audit against the reference encoder (cheap at
-  // service params; the supervisor's own verify only spot-checks), and
-  // the delivered-payload CRC the journal persists.
+  // One verification pass per row. The supervisor already compared every
+  // GPU row with the reference (verify_sample is max), and forced-CPU rows
+  // are the reference's own output; only rows of the supervised CPU
+  // fallback are re-encoded here. The CRC the journal persists covers
+  // every row.
+  const bool audit = mode != ServiceMode::kCpuCodec && !result.gpu_path;
   std::vector<std::uint8_t> scratch(config_.params.k);
   std::uint32_t crc_state = crc32c_init();
   for (std::size_t j = 0; j < blocks; ++j) {
     crc_state = crc32c_update(crc_state, batch.payload(j));
-    reference_.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (!std::ranges::equal(scratch, batch.payload(j))) {
-      result.bit_exact = false;
-      break;
+    if (audit && result.bit_exact) {
+      reference_.encode_with_coefficients(batch.coefficients(j), scratch);
+      result.bit_exact = std::ranges::equal(scratch, batch.payload(j));
     }
   }
   result.payload_crc = crc32c_final(crc_state);

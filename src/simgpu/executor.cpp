@@ -538,8 +538,7 @@ void Launcher::launch(const LaunchConfig& config,
   // plan's stall factor, which is what a supervisor's watchdog detects.
   const double multiplier =
       injector_ != nullptr ? injector_->time_multiplier(fault) : 1.0;
-  last_launch_s_ =
-      estimate_time_cached(*spec_, launch_metrics).total_s * multiplier;
+  last_launch_s_ = estimate_time(*spec_, launch_metrics).total_s * multiplier;
   elapsed_s_ += last_launch_s_;
   if (injector_ != nullptr) {
     injector_->finish_launch(fault, last_launch_s_);

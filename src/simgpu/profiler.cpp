@@ -48,7 +48,7 @@ void Profiler::record_launch_at(std::uint64_t ticket, const DeviceSpec& spec,
   pending.record.blocks = launch_metrics.blocks;
   pending.record.threads_per_block = launch_metrics.threads_per_block;
   pending.record.metrics = launch_metrics;
-  pending.record.time = estimate_time_cached(spec, launch_metrics, calibration_);
+  pending.record.time = estimate_time(spec, launch_metrics, calibration_);
   pending.record.check_findings = check_findings;
 
   std::lock_guard lock(mutex_);

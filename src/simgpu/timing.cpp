@@ -1,13 +1,7 @@
 #include "simgpu/timing.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstring>
-#include <mutex>
-#include <unordered_map>
-
-#include "util/metrics_registry.h"
 
 namespace extnc::simgpu {
 
@@ -81,109 +75,6 @@ TimeBreakdown estimate_time(const DeviceSpec& spec, const KernelMetrics& m,
 
   t.total_s = std::max(t.compute_s, t.memory_s) + t.launch_s;
   return t;
-}
-
-namespace {
-
-// Every input field estimate_time/occupancy_factor read, flattened to raw
-// bits. Fields the model never reads (texture_fetches, shared_accesses,
-// atomic_ops, spec name, ...) are deliberately excluded: launches that
-// differ only there produce the same breakdown, so excluding them raises
-// the hit rate without risking a wrong hit.
-struct MemoKey {
-  std::array<std::uint64_t, 23> v;
-  bool operator==(const MemoKey& other) const { return v == other.v; }
-};
-
-struct MemoKeyHash {
-  std::size_t operator()(const MemoKey& key) const {
-    std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-    for (std::uint64_t word : key.v) {
-      h ^= word;
-      h *= 1099511628211ull;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-std::uint64_t bits(double d) {
-  std::uint64_t out;
-  std::memcpy(&out, &d, sizeof(out));
-  return out;
-}
-
-MemoKey memo_key(const DeviceSpec& spec, const KernelMetrics& m,
-                 const Calibration& calib) {
-  return MemoKey{{
-      static_cast<std::uint64_t>(spec.num_sms),
-      static_cast<std::uint64_t>(spec.cores_per_sm),
-      bits(spec.core_clock_hz),
-      bits(spec.mem_bandwidth_bytes_per_s),
-      static_cast<std::uint64_t>(spec.shared_cycles_per_access),
-      static_cast<std::uint64_t>(spec.warp_size),
-      static_cast<std::uint64_t>(spec.texture_cache_line_bytes),
-      bits(calib.compute_efficiency),
-      bits(calib.launch_overhead_s),
-      bits(calib.warps_at_half_utilization),
-      bits(calib.min_transaction_bytes),
-      bits(calib.barrier_latency_s),
-      m.alu_deciops,
-      m.global_load_bytes,
-      m.global_store_bytes,
-      m.global_transactions,
-      m.shared_access_events,
-      m.shared_serialized_cycles,
-      m.texture_misses,
-      m.barriers,
-      m.kernel_launches,
-      static_cast<std::uint64_t>(m.blocks),
-      static_cast<std::uint64_t>(m.threads_per_block),
-  }};
-}
-
-// Bounded: cleared wholesale when full. Fleet runs cycle through a small
-// set of launch shapes, so 4096 distinct keys is generous; clearing (vs
-// LRU) keeps the hot path to one hash lookup.
-constexpr std::size_t kMemoCapacity = 4096;
-
-std::mutex memo_mutex;
-
-std::unordered_map<MemoKey, TimeBreakdown, MemoKeyHash>& memo_cache() {
-  static auto* cache =
-      new std::unordered_map<MemoKey, TimeBreakdown, MemoKeyHash>();
-  return *cache;
-}
-
-}  // namespace
-
-TimeBreakdown estimate_time_cached(const DeviceSpec& spec,
-                                   const KernelMetrics& m,
-                                   const Calibration& calib) {
-  const MemoKey key = memo_key(spec, m, calib);
-  {
-    std::lock_guard lock(memo_mutex);
-    auto& cache = memo_cache();
-    if (auto it = cache.find(key); it != cache.end()) {
-      metrics::count("simgpu.timing.memo_hit");
-      return it->second;
-    }
-  }
-  // Compute outside the lock; estimate_time is pure, so a racing insert of
-  // the same key writes the same value.
-  const TimeBreakdown t = estimate_time(spec, m, calib);
-  {
-    std::lock_guard lock(memo_mutex);
-    auto& cache = memo_cache();
-    if (cache.size() >= kMemoCapacity) cache.clear();
-    cache.emplace(key, t);
-  }
-  metrics::count("simgpu.timing.memo_miss");
-  return t;
-}
-
-void clear_timing_memo() {
-  std::lock_guard lock(memo_mutex);
-  memo_cache().clear();
 }
 
 }  // namespace extnc::simgpu

@@ -61,21 +61,6 @@ struct TimeBreakdown {
 TimeBreakdown estimate_time(const DeviceSpec& spec, const KernelMetrics& m,
                             const Calibration& calib = Calibration{});
 
-// Memoized front-end for estimate_time. The model is a pure function of
-// (device spec, calibration, metrics incl. launch geometry); fleet runs
-// re-evaluate it for thousands of identical launches, so results are
-// cached process-wide keyed on exact equality of every input field the
-// model reads (no digests — a key either matches bit-for-bit or misses).
-// Hit/miss counts surface as simgpu.timing.memo_hit / memo_miss in the
-// metrics registry. The cache is bounded; when full it is cleared.
-TimeBreakdown estimate_time_cached(const DeviceSpec& spec,
-                                   const KernelMetrics& m,
-                                   const Calibration& calib = Calibration{});
-
-// Drop every memoized entry (tests; also safe any time — the cache is an
-// optimization only and never changes results).
-void clear_timing_memo();
-
 // Utilization factor for a given launch geometry (exposed for scheme-level
 // analytic models in src/gpu).
 double occupancy_factor(const DeviceSpec& spec, std::size_t blocks,

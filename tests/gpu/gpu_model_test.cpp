@@ -3,6 +3,8 @@
 // are ~10% except where the paper states an exact headline figure.
 #include "gpu/gpu_model.h"
 
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "coding/block_decoder.h"
@@ -236,6 +238,29 @@ TEST(GpuModel, EncodeAdvantageOverMacProAtLeast4x) {
       xeon.encode_mb_per_s(p, cpu::EncodePartitioning::kFullBlock);
   EXPECT_GT(ratio, 4.0);
   EXPECT_LT(ratio, 4.8);
+}
+
+// --- calibration cache ------------------------------------------------------
+
+TEST(GpuModel, CalibrationFollowsTheSpecsValuesNotItsAddress) {
+  // Services model short-lived copies of a spec (fleet slots, config
+  // vectors). A copy of one device built where another device's copy used
+  // to live must be modeled as the device it now is.
+  EncodeModelOptions options;
+  options.include_preprocessing = false;
+  const Params p{.n = 16, .k = 256};
+  const auto mb_per_s = [&](const simgpu::DeviceSpec& spec) {
+    return model_encode_bandwidth(spec, EncodeScheme::kTable5, p, options)
+        .mb_per_s;
+  };
+  std::optional<simgpu::DeviceSpec> copy;
+  copy.emplace(simgpu::gtx280());
+  const simgpu::DeviceSpec* address = &*copy;
+  EXPECT_EQ(mb_per_s(*copy), mb_per_s(simgpu::gtx280()));
+  copy.emplace(simgpu::geforce_8800gt());
+  ASSERT_EQ(&*copy, address);
+  EXPECT_EQ(mb_per_s(*copy), mb_per_s(simgpu::geforce_8800gt()));
+  EXPECT_NE(mb_per_s(simgpu::geforce_8800gt()), mb_per_s(simgpu::gtx280()));
 }
 
 // --- analytic/functional cross-checks ---------------------------------------

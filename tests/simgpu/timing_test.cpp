@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/metrics_registry.h"
-
 namespace extnc::simgpu {
 namespace {
 
@@ -114,47 +112,6 @@ TEST(Timing, ComputeAndMemoryOverlap) {
   const auto t = estimate_time(gtx280(), m);
   EXPECT_NEAR(t.total_s, std::max(t.compute_s, t.memory_s) + t.launch_s,
               1e-12);
-}
-
-TEST(Timing, MemoizedEstimateIsBitIdenticalAndCounted) {
-  clear_timing_memo();
-  metrics::Registry::instance().reset();
-  KernelMetrics m = base_metrics();
-  m.global_load_bytes = 123'456'768;
-  m.global_transactions = m.global_load_bytes / 64;
-  m.shared_accesses = 77;
-  m.shared_access_events = 11;
-  m.shared_serialized_cycles = 22;
-
-  const auto direct = estimate_time(gtx280(), m);
-  const auto miss = estimate_time_cached(gtx280(), m);
-  const auto hit = estimate_time_cached(gtx280(), m);
-
-  // Cached results are the exact doubles the model produces — a cache hit
-  // must never perturb modeled clocks.
-  EXPECT_EQ(direct.compute_s, miss.compute_s);
-  EXPECT_EQ(direct.memory_s, miss.memory_s);
-  EXPECT_EQ(direct.launch_s, miss.launch_s);
-  EXPECT_EQ(direct.total_s, miss.total_s);
-  EXPECT_EQ(miss.compute_s, hit.compute_s);
-  EXPECT_EQ(miss.memory_s, hit.memory_s);
-  EXPECT_EQ(miss.launch_s, hit.launch_s);
-  EXPECT_EQ(miss.total_s, hit.total_s);
-
-  auto& registry = metrics::Registry::instance();
-  EXPECT_EQ(registry.value("simgpu.timing.memo_hit"), 1.0);
-  EXPECT_EQ(registry.value("simgpu.timing.memo_miss"), 1.0);
-
-  // Different metrics (and different calibration) must not collide.
-  KernelMetrics m2 = m;
-  m2.texture_fetches = 5;
-  const auto other = estimate_time_cached(gtx280(), m2);
-  EXPECT_EQ(other.total_s, estimate_time(gtx280(), m2).total_s);
-  Calibration calib;
-  calib.launch_overhead_s *= 2;
-  const auto recal = estimate_time_cached(gtx280(), m, calib);
-  EXPECT_EQ(recal.launch_s, estimate_time(gtx280(), m, calib).launch_s);
-  EXPECT_NE(recal.launch_s, hit.launch_s);
 }
 
 }  // namespace
