@@ -6,7 +6,7 @@
 #include <string>
 #include <tuple>
 
-#include "gpu/gpu_encoder.h"
+#include "gpu/kernel_audit.h"
 #include "gpu/kernel_cost.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -22,6 +22,12 @@ constexpr double kMb = 1024.0 * 1024.0;
 // coefficient (Sec. 4.3's "average 7 iterations"):
 // sum_{c=1}^{255} bit_length(c) / 255 = 1786 / 255 ~= 7.0.
 constexpr double kAvgLoopIterations = 1786.0 / 255.0;
+
+// The calibration workload: small, since per-word costs do not depend on k
+// or on the number of coded blocks.
+constexpr std::size_t kCalibrationK = 512;
+constexpr std::size_t kCalibrationBlocks = 96;
+constexpr std::uint64_t kCalibrationSeed = 0x5eed;
 
 struct PerWordCosts {
   double alu = 0;
@@ -47,10 +53,10 @@ auto spec_fields(const simgpu::DeviceSpec& s) {
       s.texture_cache_line_bytes, s.coalesce_segment_bytes);
 }
 
-// One calibration run per (device, scheme, n): per-output-word costs.
+// One calibration per (device, scheme, n): the static encode model over a
+// seeded random segment and coefficient batch, as per-output-word costs.
 PerWordCosts calibrate_encode(const simgpu::DeviceSpec& spec,
-                              EncodeScheme scheme, std::size_t n,
-                              const EncodeModelOptions& options) {
+                              EncodeScheme scheme, std::size_t n) {
   using Key =
       std::tuple<decltype(spec_fields(spec)), EncodeScheme, std::size_t>;
   static std::map<Key, PerWordCosts> cache;
@@ -62,16 +68,18 @@ PerWordCosts calibrate_encode(const simgpu::DeviceSpec& spec,
     if (it != cache.end()) return it->second;
   }
 
-  Rng rng(options.seed);
-  const coding::Params params{.n = n, .k = options.calibration_k};
+  Rng rng(kCalibrationSeed);
+  const coding::Params params{.n = n, .k = kCalibrationK};
   const coding::Segment segment = coding::Segment::random(params, rng);
-  GpuEncoder encoder(spec, segment, scheme);
-  encoder.reset_metrics();
-  (void)encoder.encode_batch(options.calibration_blocks, rng);
-  const KernelMetrics& m = encoder.encode_metrics();
+  coding::CodedBatch batch(params, kCalibrationBlocks);
+  for (std::size_t j = 0; j < kCalibrationBlocks; ++j) {
+    for (auto& c : batch.coefficients(j)) c = rng.next_nonzero_byte();
+  }
+  const KernelMetrics m =
+      encode_kernel_model(spec, scheme, segment, batch).totals();
 
-  const double words = static_cast<double>(options.calibration_blocks) *
-                       options.calibration_k / 4.0;
+  const double words =
+      static_cast<double>(kCalibrationBlocks) * kCalibrationK / 4.0;
   PerWordCosts costs;
   costs.alu = m.alu_ops() / words;
   costs.global_load_bytes = static_cast<double>(m.global_load_bytes) / words;
@@ -102,10 +110,8 @@ KernelMetrics scaled_encode_metrics(const simgpu::DeviceSpec& spec,
                                     const coding::Params& params,
                                     std::size_t coded_blocks,
                                     bool include_preprocessing,
-                                    std::size_t segments,
-                                    const EncodeModelOptions& options) {
-  const PerWordCosts per_word =
-      calibrate_encode(spec, scheme, params.n, options);
+                                    std::size_t segments) {
+  const PerWordCosts per_word = calibrate_encode(spec, scheme, params.n);
   const double words = static_cast<double>(coded_blocks) * params.k / 4.0;
 
   KernelMetrics m;
@@ -171,7 +177,7 @@ BandwidthEstimate model_encode_bandwidth(const simgpu::DeviceSpec& spec,
                                          const EncodeModelOptions& options) {
   const KernelMetrics m = scaled_encode_metrics(
       spec, scheme, params, options.coded_blocks,
-      options.include_preprocessing, /*segments=*/1, options);
+      options.include_preprocessing, /*segments=*/1);
   BandwidthEstimate estimate;
   estimate.time = simgpu::estimate_time(spec, m);
   const double payload_bytes =
@@ -317,8 +323,7 @@ KernelMetrics analytic_multiply_metrics(const simgpu::DeviceSpec& spec,
   // preprocessed to the log domain as pseudo-source blocks.
   return scaled_encode_metrics(spec, EncodeScheme::kTable5, params,
                                /*coded_blocks=*/segments * params.n,
-                               /*include_preprocessing=*/true, segments,
-                               EncodeModelOptions{});
+                               /*include_preprocessing=*/true, segments);
 }
 
 MultiSegEstimate model_multi_segment_decode(const simgpu::DeviceSpec& spec,

@@ -1,11 +1,12 @@
 // Bandwidth models for the paper's figures.
 //
-// Encoding: the functional kernels are fast enough to run a scaled-down
-// calibration workload (per-output-word costs are independent of k and of
-// the number of coded blocks), so model_encode_bandwidth() runs the real
-// kernel on a small batch, extracts per-word metrics — including the
-// *measured* shared-memory conflict degree and coalescing behaviour — and
-// scales them to the requested workload before applying the timing model.
+// Encoding: per-output-word costs do not depend on k or on the number of
+// coded blocks, so model_encode_bandwidth() calibrates once per (device,
+// scheme, n) on a small seeded random workload — the static encode model
+// (gpu/kernel_audit.h) over that segment and batch, i.e. the kernel's own
+// accounting walk with its *measured* shared-memory conflict degrees and
+// coalescing — and scales the per-word metrics to the requested workload
+// before applying the timing model. No kernel is launched.
 //
 // Decoding: a full-size functional decode is O(n^2 k) work per segment
 // (minutes at the figure sizes), so the decode models build the kernel
@@ -33,10 +34,6 @@ struct EncodeModelOptions {
   // Include the log-domain preprocessing kernels, amortized over
   // coded_blocks (set false to model the steady-state encode rate only).
   bool include_preprocessing = true;
-  // Calibration workload size (small; per-word costs are k-independent).
-  std::size_t calibration_k = 512;
-  std::size_t calibration_blocks = 96;
-  std::uint64_t seed = 0x5eed;
   // Optional observability: the modeled workload is recorded as one
   // "model/encode/<scheme>" launch (scaled metrics, modeled time), so
   // benches can export a trace of what the figure numbers are made of.

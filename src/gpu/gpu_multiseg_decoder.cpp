@@ -1,14 +1,13 @@
 #include "gpu/gpu_multiseg_decoder.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "gf256/gf.h"
-#include "gf256/region.h"
 #include "gf256/swar.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/kernel_cost.h"
+#include "gpu/kernel_walks.h"
 #include "util/assert.h"
 
 namespace extnc::gpu {
@@ -23,20 +22,6 @@ std::uint32_t mul_word_charged(ThreadCtx& thread, std::uint8_t c,
   thread.count_alu(kDecodeCost.per_iteration * gf256::loop_iterations(c) +
                    kDecodeCost.per_word);
   return gf256::mul_byte_word(c, w);
-}
-
-// Deci-op cost of one charged word multiply, per coefficient value.
-// mul_word_charged quantizes the *sum* in a single count_alu call, so the
-// fast path must quantize the same sum (never the parts separately).
-std::array<std::uint64_t, 256> mul_word_deciops() {
-  std::array<std::uint64_t, 256> table;
-  for (std::size_t c = 0; c < 256; ++c) {
-    table[c] = simgpu::KernelMetrics::deciops(
-        kDecodeCost.per_iteration *
-            gf256::loop_iterations(static_cast<std::uint8_t>(c)) +
-        kDecodeCost.per_word);
-  }
-  return table;
 }
 
 }  // namespace
@@ -117,7 +102,6 @@ void GpuMultiSegmentDecoder::invert_stage(
     }
   }
 
-  const std::array<std::uint64_t, 256> mul_deci = mul_word_deciops();
   launcher_.reset_metrics();
   simgpu::FastBlockTally tally;
   launcher_.launch(
@@ -129,15 +113,15 @@ void GpuMultiSegmentDecoder::invert_stage(
         auto row = [&](std::size_t r) { return aug + r * row_bytes; };
         const std::size_t half = block.spec().half_warp;
 
-        // Bulk lowering: Gauss-Jordan row operations via SIMD region ops
-        // with per-group accounting that mirrors the interpreted steps
-        // (see BlockCtx::fast_path). Requires every lane of steps 2-4 to
-        // run a single strided iteration; the eliminate step handles
-        // striding generically.
+        // Bulk lowering: the shared inverter walk (kernel_walks.h), with
+        // SIMD region ops for the row arithmetic. It needs every lane of
+        // the swap, scale and factor steps to run one strided iteration.
         if (block.fast_path() && threads >= row_words && threads >= n &&
             half <= 16) {
           tally.lowered();
-          invert_block_fast(block, aug, mul_deci);
+          BlockSink sink(block);
+          invert_block_walk(sink, sink, aug, n, threads, half,
+                            reinterpret_cast<std::uintptr_t>(aug));
           return;
         }
 
@@ -218,143 +202,6 @@ void GpuMultiSegmentDecoder::invert_stage(
                   work[seg].data() + r * row_bytes + n, n);
     }
     inverses.push_back(std::move(inverse));
-  }
-}
-
-void GpuMultiSegmentDecoder::invert_block_fast(
-    BlockCtx& block, std::uint8_t* aug,
-    const std::array<std::uint64_t, 256>& mul_deci) {
-  const std::size_t n = params_.n;
-  const std::size_t row_bytes = 2 * n;
-  const std::size_t row_words = row_bytes / 4;
-  const std::size_t threads = block.num_threads();
-  const std::size_t half = block.spec().half_warp;
-  const gf256::Ops& gops = gf256::ops();
-  auto row = [&](std::size_t r) { return aug + r * row_bytes; };
-  auto uptr = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p);
-  };
-  std::vector<std::uint8_t> factors(n);
-  std::array<std::uintptr_t, 16> addrs;
-  std::array<std::uintptr_t, 16> col_addrs;
-  std::array<std::uintptr_t, 16> words_buf;
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Pivot search: one lane scans rows >= col, charging per scanned row
-    // including the hit (host reads, no device accesses).
-    std::size_t pivot = n;
-    std::uint64_t scanned = 0;
-    for (std::size_t r = col; r < n; ++r) {
-      ++scanned;
-      if (row(r)[col] != 0) {
-        pivot = r;
-        break;
-      }
-    }
-    EXTNC_CHECK(pivot != n);  // batches hold independent rows
-    block.fast_alu_deciops(scanned * simgpu::KernelMetrics::deciops(
-                                         kDecodeCost.pivot_search_per_byte));
-    block.fast_barriers(1);
-
-    // Row swap: each lane handles one word (threads >= row_words), four
-    // accesses in sequence order — load col, load pivot, store col, store
-    // pivot — each a contiguous span per half-warp.
-    if (pivot != col) {
-      for (std::size_t w0 = 0; w0 < row_words; w0 += half) {
-        const std::size_t cnt = std::min(half, row_words - w0);
-        block.fast_global_span(uptr(row(col) + w0 * 4), cnt * 4, cnt,
-                               cnt * 4, 0);
-        block.fast_global_span(uptr(row(pivot) + w0 * 4), cnt * 4, cnt,
-                               cnt * 4, 0);
-        block.fast_global_span(uptr(row(col) + w0 * 4), cnt * 4, cnt, 0,
-                               cnt * 4);
-        block.fast_global_span(uptr(row(pivot) + w0 * 4), cnt * 4, cnt, 0,
-                               cnt * 4);
-      }
-      std::swap_ranges(row(col), row(col) + row_bytes, row(pivot));
-      block.fast_barriers(1);
-    }
-
-    // Scale the pivot row to make the pivot 1.
-    const std::uint8_t scale = gf256::inv(row(col)[col]);
-    for (std::size_t w0 = 0; w0 < row_words; w0 += half) {
-      const std::size_t cnt = std::min(half, row_words - w0);
-      block.fast_global_span(uptr(row(col) + w0 * 4), cnt * 4, cnt, cnt * 4,
-                             0);
-      block.fast_alu_deciops(cnt * mul_deci[scale]);
-      block.fast_global_span(uptr(row(col) + w0 * 4), cnt * 4, cnt, 0,
-                             cnt * 4);
-    }
-    gops.scale_region(row(col), scale, row_bytes);
-    block.fast_barriers(1);
-
-    // Factor snapshot: lane r loads its factor (lane `col` skips the load
-    // WITHOUT advancing its sequence number, so its shared store lands one
-    // sequence point early — a separate 1-access group) and stages it in
-    // shared memory.
-    for (std::size_t r0 = 0; r0 < n; r0 += half) {
-      const std::size_t cnt = std::min(half, n - r0);
-      std::size_t loads = 0;
-      std::size_t stores = 0;
-      for (std::size_t l = 0; l < cnt; ++l) {
-        const std::size_t r = r0 + l;
-        factors[r] = r == col ? 0 : row(r)[col];
-        if (r == col) continue;
-        addrs[loads++] = uptr(&row(r)[col]);
-        words_buf[stores++] = r / 4;
-      }
-      if (loads > 0) {
-        block.fast_global_group(addrs.data(), loads, 1, loads, 0);
-      }
-      if (cnt != stores) {  // this half-warp contains lane `col`
-        const std::uintptr_t col_word = col / 4;
-        block.fast_shared_group(&col_word, 1);
-      }
-      if (stores > 0) block.fast_shared_group(words_buf.data(), stores);
-    }
-    block.fast_barriers(1);
-
-    // Eliminate: work item (r, w) reads its factor from shared memory and,
-    // when nonzero, applies d ^= factor * p. Half-warps may straddle row
-    // boundaries, so global groups take per-lane addresses.
-    const std::size_t items = n * row_words;
-    for (std::size_t base = 0; base < items; base += threads) {
-      const std::size_t lanes_end = std::min(threads, items - base);
-      for (std::size_t l0 = 0; l0 < lanes_end; l0 += half) {
-        const std::size_t item0 = base + l0;
-        const std::size_t cnt = std::min(half, items - item0);
-        std::uint64_t alu = 0;
-        std::size_t active = 0;
-        for (std::size_t l = 0; l < cnt; ++l) {
-          words_buf[l] = ((item0 + l) / row_words) / 4;
-        }
-        block.fast_shared_group(words_buf.data(), cnt);
-        for (std::size_t l = 0; l < cnt; ++l) {
-          const std::size_t item = item0 + l;
-          const std::size_t r = item / row_words;
-          const std::size_t w = item % row_words;
-          const std::uint8_t factor = factors[r];
-          if (factor == 0) continue;  // interpreted skip_access x3
-          addrs[active] = uptr(row(r) + w * 4);
-          col_addrs[active] = uptr(row(col) + w * 4);
-          ++active;
-          alu += mul_deci[factor];
-        }
-        if (active > 0) {
-          block.fast_global_group(addrs.data(), active, 4, active * 4, 0);
-          block.fast_global_group(col_addrs.data(), active, 4, active * 4,
-                                  0);
-          block.fast_global_group(addrs.data(), active, 4, 0, active * 4);
-          block.fast_alu_deciops(alu);
-        }
-      }
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      if (factors[r] != 0) {
-        gops.mul_add_region(row(r), row(col), factors[r], row_bytes);
-      }
-    }
-    block.fast_barriers(1);
   }
 }
 

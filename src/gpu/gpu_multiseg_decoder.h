@@ -16,7 +16,6 @@
 // throughput.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -56,12 +55,6 @@ class GpuMultiSegmentDecoder {
  private:
   void invert_stage(const std::vector<coding::CodedBatch>& batches,
                     std::vector<AlignedBuffer>& inverses);
-  // Fast-path Gauss-Jordan for one block's augmented matrix: SIMD region
-  // row operations plus bulk accounting bit-identical to the interpreted
-  // steps. `mul_deci` is the quantized cost of one charged word multiply
-  // per coefficient value.
-  void invert_block_fast(simgpu::BlockCtx& block, std::uint8_t* aug,
-                         const std::array<std::uint64_t, 256>& mul_deci);
   void multiply_stage(const std::vector<coding::CodedBatch>& batches,
                       const std::vector<AlignedBuffer>& inverses,
                       std::vector<coding::Segment>& out);

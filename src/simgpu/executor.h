@@ -44,6 +44,7 @@
 #include "simgpu/device_spec.h"
 #include "simgpu/exec_engine.h"
 #include "simgpu/metrics.h"
+#include "simgpu/static_model.h"
 #include "util/aligned_buffer.h"
 #include "util/assert.h"
 
@@ -231,9 +232,8 @@ class BlockCtx {
   void fast_global_span(std::uintptr_t addr, std::size_t span_bytes,
                         std::uint64_t instrs, std::uint64_t load_bytes,
                         std::uint64_t store_bytes) {
-    const std::uint64_t seg = spec_->coalesce_segment_bytes;
     metrics_->global_transactions +=
-        (addr % seg + span_bytes + seg - 1) / seg;
+        span_transactions(addr, span_bytes, spec_->coalesce_segment_bytes);
     metrics_->global_load_bytes += load_bytes;
     metrics_->global_store_bytes += store_bytes;
     metrics_->alu_deciops += instrs * 10;
@@ -276,6 +276,13 @@ class BlockCtx {
     metrics_->global_load_bytes += load_bytes;
     metrics_->global_store_bytes += store_bytes;
     metrics_->alu_deciops += instrs * 10;
+  }
+
+  // Closed-form bulk accounting of a precomputed counter set — the
+  // counters of a one-block static segment model (static_model.h) that is
+  // the same for every block. Launch geometry stays the launcher's.
+  void fast_counters(const KernelMetrics& counters) {
+    metrics_->merge(counters);
   }
 
   // One texture fetch; evolves the per-TPC cache state exactly like

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "coding/batch.h"
+#include "coding/block_decoder.h"
 #include "coding/segment.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/gpu_multiseg_decoder.h"
@@ -20,6 +21,7 @@
 #include "simgpu/profiler.h"
 #include "simgpu/static_model.h"
 #include "util/metrics_registry.h"
+#include "util/rng.h"
 
 namespace extnc::gpu {
 namespace {
@@ -308,6 +310,108 @@ TEST(KernelAudit, SeededConflictRegressionCaught) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// ------------------------------------------------------------------------
+// The models over a caller's own data: a random segment and random
+// coefficient rows (not a payload class) must give exactly the metrics a
+// real encoder launch charges, with the fast path on and off, for every
+// scheme on both devices.
+
+// Pins the serial engine with the fast path on or off.
+class ScopedPath {
+ public:
+  explicit ScopedPath(bool fast)
+      : saved_fast_(simgpu::fast_path_enabled()),
+        saved_engine_(simgpu::default_engine()) {
+    simgpu::set_fast_path_enabled(fast);
+    simgpu::set_default_engine(simgpu::ExecEngine::kSerial);
+  }
+  ~ScopedPath() {
+    simgpu::set_fast_path_enabled(saved_fast_);
+    simgpu::set_default_engine(saved_engine_);
+  }
+
+ private:
+  bool saved_fast_;
+  simgpu::ExecEngine saved_engine_;
+};
+
+void check_encode_over_data(const Params& params, std::size_t count,
+                            std::uint64_t seed, const std::string& shape) {
+  for (const simgpu::DeviceSpec& spec :
+       {simgpu::gtx280(), simgpu::geforce_8800gt()}) {
+    Rng rng(seed);
+    const Segment segment = Segment::random(params, rng);
+    CodedBatch batch(params, count);
+    for (std::size_t j = 0; j < count; ++j) {
+      // About one coefficient in five is zero: the sentinel skips.
+      for (auto& c : batch.coefficients(j)) {
+        c = rng.next_below(5) == 0 ? 0 : rng.next_nonzero_byte();
+      }
+    }
+    for (EncodeScheme scheme : kAllSchemes) {
+      const KernelMetrics model =
+          encode_kernel_model(spec, scheme, segment, batch).totals();
+      for (bool fast : {true, false}) {
+        ScopedPath path(fast);
+        CodedBatch run = batch;
+        GpuEncoder encoder(spec, segment, scheme);
+        encoder.encode_into(run);
+        expect_metrics_equal(model, encoder.encode_metrics(),
+                             std::string(spec.name) + "/" + shape + "/" +
+                                 scheme_name(scheme) +
+                                 (fast ? "/fast" : "/interpreted"));
+      }
+    }
+  }
+}
+
+TEST(KernelAuditModel, EncodeOverCallerDataAligned) {
+  check_encode_over_data({.n = 16, .k = 256}, 16, 41, "aligned");
+}
+
+TEST(KernelAuditModel, EncodeOverCallerDataStraddling) {
+  check_encode_over_data({.n = 12, .k = 200}, 7, 42, "straddle");
+}
+
+// The shape gpu_model's encode calibration runs the model at.
+TEST(KernelAuditModel, EncodeOverCallerDataCalibrationShape) {
+  check_encode_over_data({.n = 128, .k = 512}, 96, 43, "calibration");
+}
+
+TEST(KernelAuditModel, InverterOverCallerData) {
+  const Params params{.n = 16, .k = 64};
+  Rng rng(44);
+  // A random batch of n independent coefficient rows, held by every
+  // segment (the model's one-matrix-per-launch contract).
+  CodedBatch batch(params, params.n);
+  coding::BlockDecoder probe(params);
+  std::vector<std::uint8_t> row(params.n);
+  std::vector<std::uint8_t> payload(params.k);
+  for (std::size_t stored = 0; stored < params.n;) {
+    for (auto& c : row) c = rng.next_byte();
+    for (auto& b : payload) b = rng.next_byte();
+    if (!probe.add(row, payload)) continue;
+    std::copy(row.begin(), row.end(), batch.coefficients(stored).begin());
+    std::copy(payload.begin(), payload.end(), batch.payload(stored).begin());
+    ++stored;
+  }
+  const std::uint8_t* rows = batch.coefficients_data();
+  const std::vector<std::uint8_t> matrix(rows, rows + params.n * params.n);
+  for (const simgpu::DeviceSpec& spec :
+       {simgpu::gtx280(), simgpu::geforce_8800gt()}) {
+    const KernelMetrics model =
+        invert_kernel_model(spec, params, 3, matrix).totals();
+    for (bool fast : {true, false}) {
+      ScopedPath path(fast);
+      GpuMultiSegmentDecoder decoder(spec, params);
+      decoder.decode_all({batch, batch, batch});
+      expect_metrics_equal(model, decoder.stage1_metrics(),
+                           std::string(spec.name) + "/invert" +
+                               (fast ? "/fast" : "/interpreted"));
+    }
+  }
 }
 
 }  // namespace

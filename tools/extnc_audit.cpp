@@ -168,6 +168,12 @@ int main(int argc, char** argv) {
   if (options.params.n % 4 != 0 || options.params.k % 4 != 0) {
     die("--n and --k must be multiples of 4");
   }
+  if (options.params.n > 255) {
+    // The inverter's model matrix is a Vandermonde over distinct nonzero
+    // points of GF(2^8), of which there are 255.
+    die("--n " + std::to_string(options.params.n) +
+        " exceeds 255, the number of nonzero GF(2^8) points");
+  }
 
   const std::string device = flags->text("--device", "gtx280");
   std::vector<const simgpu::DeviceSpec*> specs;

@@ -252,6 +252,14 @@ int main(int argc, char** argv) {
   if (options.params.n % 4 != 0 || options.params.k % 4 != 0) {
     die("--n and --k must be multiples of 4 (GPU kernels use 32-bit words)");
   }
+  // The single-segment decoder caches the n x n coefficient matrix plus
+  // its 4-byte atomic pivot word in shared memory.
+  const std::size_t shared_needed = options.params.n * options.params.n + 4;
+  if (shared_needed > spec.shared_mem_per_sm) {
+    die("--n " + std::to_string(options.params.n) + " needs " +
+        std::to_string(shared_needed) + " bytes of shared memory (n^2 + 4); " +
+        spec.name + " has " + std::to_string(spec.shared_mem_per_sm));
+  }
 
   const std::string engine_arg = flags->text("--engine", "both");
   if (engine_arg == "both") {
