@@ -1,5 +1,7 @@
 #include "simgpu/device_spec.h"
 
+#include <bit>
+
 namespace extnc::simgpu {
 
 const DeviceSpec& gtx280() {
@@ -22,6 +24,7 @@ const DeviceSpec& gtx280() {
       .texture_cache_line_bytes = 32,
       .coalesce_segment_bytes = 64,
   };
+  static_assert(std::has_single_bit(spec.coalesce_segment_bytes));
   return spec;
 }
 
@@ -45,6 +48,7 @@ const DeviceSpec& geforce_8800gt() {
       .texture_cache_line_bytes = 32,
       .coalesce_segment_bytes = 64,
   };
+  static_assert(std::has_single_bit(spec.coalesce_segment_bytes));
   return spec;
 }
 
@@ -71,6 +75,7 @@ const DeviceSpec& hypothetical_64bit() {
       .texture_cache_line_bytes = 32,
       .coalesce_segment_bytes = 64,
   };
+  static_assert(std::has_single_bit(spec.coalesce_segment_bytes));
   return spec;
 }
 

@@ -31,7 +31,8 @@ struct DeviceSpec {
   int sms_per_texture_cache;      // 3 SMs share one L1 tex cache on GT200
   std::size_t texture_cache_bytes;
   std::size_t texture_cache_line_bytes;
-  // Global memory coalescing segment size (bytes).
+  // Global memory coalescing segment size (bytes); a power of two, so the
+  // accounting takes segment indices by shift (simgpu::coalesce_segment).
   std::size_t coalesce_segment_bytes;
 
   // Peak scalar-instruction issue rate, instructions/second: every SP

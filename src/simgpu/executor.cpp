@@ -171,36 +171,18 @@ void ThreadCtx::count_alu(double ops) {
 
 // ---------------------------------------------------------------- BlockCtx
 
-// The serialization-degree rule lives in static_model.{h,cpp}
-// (simgpu::shared_group_degree): the interpreted flush, the fast-path bulk
-// groups and the static kernel models all call the one definition, so the
-// three accounting paths can never disagree.
+// The serialization-degree and scattered-coalescing rules live in
+// static_model.{h,cpp} (simgpu::shared_group_degree, group_transactions):
+// the fast-path bulk groups and the static kernel models call the one
+// definition, and the interpreted flush shares the degree rule, so the
+// accounting paths can never disagree.
 
 void BlockCtx::fast_global_group(const std::uintptr_t* addrs,
                                  std::size_t count, std::size_t access_bytes,
                                  std::uint64_t load_bytes,
                                  std::uint64_t store_bytes) {
-  const std::uint64_t seg_bytes = spec_->coalesce_segment_bytes;
-  std::array<std::uint64_t, 2 * kGroupLanes> segments;
-  std::uint32_t live = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t first = addrs[i] / seg_bytes;
-    const std::uint64_t last = (addrs[i] + access_bytes - 1) / seg_bytes;
-    for (std::uint64_t seg = first; seg <= last; ++seg) {
-      bool seen = false;
-      for (std::uint32_t j = 0; j < live; ++j) {
-        if (segments[j] == seg) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        EXTNC_DASSERT(live < segments.size());
-        segments[live++] = seg;
-      }
-    }
-  }
-  metrics_->global_transactions += live;
+  metrics_->global_transactions += group_transactions(
+      addrs, count, access_bytes, spec_->coalesce_segment_bytes);
   metrics_->global_load_bytes += load_bytes;
   metrics_->global_store_bytes += store_bytes;
   metrics_->alu_deciops += static_cast<std::uint64_t>(count) * 10;
