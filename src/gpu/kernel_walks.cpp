@@ -11,6 +11,75 @@ bool table_lookups_apply(EncodeScheme scheme, std::size_t k,
          (scheme != EncodeScheme::kTable5 || half % kReplicatedTables == 0);
 }
 
+namespace {
+
+// One scheme's entries: the scheme is a template parameter, so each
+// scheme's gather compiles to one straight loop.
+template <EncodeScheme kScheme>
+void fill_table_lookups(TableLookups& lk, std::size_t half,
+                        std::uint32_t banks, const std::uint8_t* src,
+                        std::size_t n, std::size_t k) {
+  constexpr bool tb0 = kScheme == EncodeScheme::kTable0;
+  constexpr bool tb4 = kScheme == EncodeScheme::kTable4;
+  constexpr bool tb5 = kScheme == EncodeScheme::kTable5;
+  constexpr std::uint8_t sentinel =
+      scheme_uses_shifted_log(kScheme) ? 0x00 : gf256::kLogZero;
+  const std::uint8_t* log_table = gf256::tables().log;  // tb0's shared copy
+
+  std::array<std::uintptr_t, 16> words;
+  std::array<std::uintptr_t, 16> log_words;  // tb0's log lookup
+  std::array<std::uint8_t, 16> log_s;
+  std::size_t e = 0;  // lk.index(i, g, b), in loop order
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t g = 0; g < lk.groups; ++g) {
+      for (std::size_t b = 0; b < 4; ++b, ++e) {
+        // One gather per entry: the live lanes' log-domain source bytes,
+        // compacted without a branch on the bytes.
+        const std::uint8_t* s = src + i * k + g * half * 4 + b;
+        std::size_t live = 0;
+        std::uint8_t top = 0;
+        for (std::size_t l = 0; l < half; ++l) {
+          std::uint8_t v = s[l * 4];
+          if constexpr (tb0) {
+            log_words[l] = (kLogBytesOffset + v) / 4;
+            v = log_table[v];
+          }
+          const bool is_live = v != sentinel;
+          log_s[live] = v;
+          if constexpr (tb5) words[live] = tb5_word_index(v, l);
+          if constexpr (tb4) top = std::max<std::uint8_t>(top, is_live ? v : 0);
+          live += is_live;
+        }
+        if constexpr (tb0) {
+          lk.log_degree[e] = static_cast<std::uint8_t>(
+              simgpu::shared_group_degree(log_words.data(), half, banks));
+        }
+        lk.active[e] = static_cast<std::uint8_t>(live);
+        if constexpr (tb4) {
+          lk.top[e] = top;
+          continue;
+        }
+        // Residue r reads exp entry r + log_s; an empty group is degree 1.
+        std::array<std::uint8_t, 4>& degrees = lk.exp_degree[e];
+        if constexpr (tb5) {
+          degrees.fill(static_cast<std::uint8_t>(
+              simgpu::shared_group_degree(words.data(), live, banks)));
+          continue;
+        }
+        for (std::size_t r = 0; r < 4; ++r) {
+          for (std::size_t t = 0; t < live; ++t) {
+            words[t] = (kExpBytesOffset + r + log_s[t]) / 4;
+          }
+          degrees[r] = static_cast<std::uint8_t>(
+              simgpu::shared_group_degree(words.data(), live, banks));
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
 TableLookups table_lookups(const simgpu::DeviceSpec& spec,
                            EncodeScheme scheme, const std::uint8_t* src,
                            std::size_t n, std::size_t k) {
@@ -18,66 +87,37 @@ TableLookups table_lookups(const simgpu::DeviceSpec& spec,
   const auto banks = static_cast<std::uint32_t>(spec.shared_banks);
   EXTNC_CHECK(scheme != EncodeScheme::kLoopBased && half >= 1 && half <= 16 &&
               (k / 4) % half == 0);
-  const bool tb0 = scheme == EncodeScheme::kTable0;
-  const bool tb4 = scheme == EncodeScheme::kTable4;
-  const bool tb5 = scheme == EncodeScheme::kTable5;
-  const std::uint8_t sentinel =
-      scheme_uses_shifted_log(scheme) ? 0x00 : gf256::kLogZero;
-  const std::uint8_t* log_table = gf256::tables().log;  // tb0's shared copy
-
   TableLookups lk;
   lk.groups = (k / 4) / half;
   const std::size_t entries = n * lk.groups * 4;
-  lk.active.assign(entries, 0);
-  if (tb0) lk.log_degree.assign(entries, 1);
-  if (tb4) {
-    lk.top.assign(entries, 0);
+  lk.active.resize(entries);
+  if (scheme == EncodeScheme::kTable0) lk.log_degree.resize(entries);
+  if (scheme == EncodeScheme::kTable4) {
+    lk.top.resize(entries);
   } else {
-    lk.exp_degree.assign(entries, {1, 1, 1, 1});
+    lk.exp_degree.resize(entries);
   }
-
-  std::array<std::uintptr_t, 16> words;
-  std::array<std::uint8_t, 16> log_s;
-  std::array<std::size_t, 16> lane_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t g = 0; g < lk.groups; ++g) {
-      const std::uint8_t* s = src + i * k + g * half * 4;
-      for (std::size_t b = 0; b < 4; ++b) {
-        const std::size_t e = lk.index(i, g, b);
-        if (tb0) {
-          for (std::size_t l = 0; l < half; ++l) {
-            words[l] = (kLogBytesOffset + s[l * 4 + b]) / 4;
-          }
-          lk.log_degree[e] = static_cast<std::uint8_t>(
-              simgpu::shared_group_degree(words.data(), half, banks));
-        }
-        std::size_t live = 0;
-        for (std::size_t l = 0; l < half; ++l) {
-          std::uint8_t v = s[l * 4 + b];
-          if (tb0) v = log_table[v];
-          if (v == sentinel) continue;
-          log_s[live] = v;
-          lane_of[live] = l;
-          ++live;
-        }
-        lk.active[e] = static_cast<std::uint8_t>(live);
-        if (live == 0) continue;
-        if (tb4) {
-          lk.top[e] = *std::max_element(log_s.begin(), log_s.begin() + live);
-          continue;
-        }
-        for (std::size_t r = 0; r < (tb5 ? 1 : 4); ++r) {
-          for (std::size_t t = 0; t < live; ++t) {
-            const std::size_t idx = r + log_s[t];
-            words[t] = tb5 ? tb5_word_index(idx, lane_of[t])
-                           : (kExpBytesOffset + idx) / 4;
-          }
-          lk.exp_degree[e][r] = static_cast<std::uint8_t>(
-              simgpu::shared_group_degree(words.data(), live, banks));
-        }
-        if (tb5) lk.exp_degree[e].fill(lk.exp_degree[e][0]);
-      }
-    }
+  switch (scheme) {
+    case EncodeScheme::kLoopBased:
+      break;
+    case EncodeScheme::kTable0:
+      fill_table_lookups<EncodeScheme::kTable0>(lk, half, banks, src, n, k);
+      break;
+    case EncodeScheme::kTable1:
+      fill_table_lookups<EncodeScheme::kTable1>(lk, half, banks, src, n, k);
+      break;
+    case EncodeScheme::kTable2:
+      fill_table_lookups<EncodeScheme::kTable2>(lk, half, banks, src, n, k);
+      break;
+    case EncodeScheme::kTable3:
+      fill_table_lookups<EncodeScheme::kTable3>(lk, half, banks, src, n, k);
+      break;
+    case EncodeScheme::kTable4:
+      fill_table_lookups<EncodeScheme::kTable4>(lk, half, banks, src, n, k);
+      break;
+    case EncodeScheme::kTable5:
+      fill_table_lookups<EncodeScheme::kTable5>(lk, half, banks, src, n, k);
+      break;
   }
   return lk;
 }

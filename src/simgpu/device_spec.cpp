@@ -25,6 +25,9 @@ const DeviceSpec& gtx280() {
       .coalesce_segment_bytes = 64,
   };
   static_assert(std::has_single_bit(spec.coalesce_segment_bytes));
+  static_assert(
+      std::has_single_bit(static_cast<unsigned>(spec.shared_banks)) &&
+      spec.shared_banks <= 32);
   return spec;
 }
 
@@ -49,6 +52,9 @@ const DeviceSpec& geforce_8800gt() {
       .coalesce_segment_bytes = 64,
   };
   static_assert(std::has_single_bit(spec.coalesce_segment_bytes));
+  static_assert(
+      std::has_single_bit(static_cast<unsigned>(spec.shared_banks)) &&
+      spec.shared_banks <= 32);
   return spec;
 }
 
@@ -76,6 +82,9 @@ const DeviceSpec& hypothetical_64bit() {
       .coalesce_segment_bytes = 64,
   };
   static_assert(std::has_single_bit(spec.coalesce_segment_bytes));
+  static_assert(
+      std::has_single_bit(static_cast<unsigned>(spec.shared_banks)) &&
+      spec.shared_banks <= 32);
   return spec;
 }
 

@@ -20,7 +20,10 @@ struct DeviceSpec {
   // "155 GB/s" for the GTX 280; the part's official figure is 141.7.)
   double mem_bandwidth_bytes_per_s;
   std::size_t shared_mem_per_sm;  // bytes
-  int shared_banks;               // 16 on both parts
+  // 16 on both parts. A power of two, at most 32: the degree rule takes
+  // a word's bank by mask and counts into 32 slots
+  // (simgpu::shared_group_degree).
+  int shared_banks;
   // Shared memory services one bank access per bank every N cycles.
   int shared_cycles_per_access;   // 2 (Sec. 5.1.2)
   int warp_size;

@@ -1,6 +1,7 @@
 #include "simgpu/static_model.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.h"
 
@@ -8,22 +9,37 @@ namespace extnc::simgpu {
 
 std::uint64_t shared_group_degree(const std::uintptr_t* words,
                                   std::size_t count, std::uint32_t banks) {
-  // At most kGroupLanes entries per group, so the quadratic dedup stays
-  // allocation-free and cheap.
-  std::array<std::uint32_t, 32> bank_words{};
-  std::uint64_t degree = 1;
-  for (std::size_t i = 0; i < count; ++i) {
-    bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (words[j] == words[i]) {
-        seen = true;
-        break;
-      }
-    }
-    if (seen) continue;
-    const std::uint32_t in_bank = ++bank_words[(words[i] % banks) % 32];
-    degree = std::max<std::uint64_t>(degree, in_bank);
+  EXTNC_DASSERT(std::has_single_bit(banks) && banks <= 32);
+  EXTNC_DASSERT(count <= 255);  // lane indices and bank counts are bytes
+  // A lane adds one word to its bank when it is the lowest lane addressing
+  // that word. `owner` maps each word to that lane: the stores run from the
+  // highest lane down, so the lowest one lands last. Only entries the first
+  // loop wrote are read, so the table stays uninitialised and a call costs
+  // O(count); past the choice of path, no branch depends on the words.
+  // Groups addressing a word past the table (none of the modeled kernels:
+  // a 32 KiB scratchpad has 8192 words) compare lanes pairwise instead.
+  constexpr std::uintptr_t kOwnerWords = 8192;
+  std::array<std::uint8_t, kOwnerWords> owner;
+  std::uintptr_t any = 0;
+  for (std::size_t i = count; i-- > 0;) {
+    any |= words[i];
+    owner[words[i] & (kOwnerWords - 1)] = static_cast<std::uint8_t>(i);
   }
+  const std::uintptr_t bank_mask = banks - 1;
+  std::array<std::uint8_t, 32> in_bank{};
+  if (any < kOwnerWords) {
+    for (std::size_t i = 0; i < count; ++i) {
+      in_bank[words[i] & bank_mask] += owner[words[i]] == i;
+    }
+  } else {
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint8_t fresh = 1;
+      for (std::size_t j = 0; j < i; ++j) fresh &= words[j] != words[i];
+      in_bank[words[i] & bank_mask] += fresh;
+    }
+  }
+  std::uint8_t degree = 1;
+  for (const std::uint8_t in : in_bank) degree = std::max(degree, in);
   return degree;
 }
 

@@ -44,7 +44,11 @@ namespace extnc::simgpu {
 // must serve one cycle per *distinct word* addressed in it (lanes reading
 // the same word are satisfied by one broadcast); minimum degree 1. This is
 // THE rule — flush_half_warp, the fast-path bulk groups and every static
-// model call it, so the three can never disagree.
+// model call it, so the three can never disagree. `banks` must be a power
+// of two no larger than 32 (every DeviceSpec asserts it): a word's bank is
+// `word & (banks - 1)`. A call is O(count); past the choice between a
+// table dedup and a pairwise one for words past 8192, no branch depends
+// on the words.
 std::uint64_t shared_group_degree(const std::uintptr_t* words,
                                   std::size_t count, std::uint32_t banks);
 

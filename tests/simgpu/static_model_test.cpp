@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <vector>
 
@@ -17,17 +18,26 @@
 namespace extnc::simgpu {
 namespace {
 
-// Reference degree: the executor's flush rule spelled out naively —
-// distinct words per bank, worst bank, minimum 1.
-std::uint64_t ref_degree(std::vector<std::uintptr_t> words,
+// Reference degree: the rule as first written — a quadratic dedup that
+// skips a lane when an earlier lane addressed the same word, banks by
+// remainder, worst bank, minimum 1.
+std::uint64_t ref_degree(const std::vector<std::uintptr_t>& words,
                          std::uint32_t banks) {
-  std::sort(words.begin(), words.end());
-  words.erase(std::unique(words.begin(), words.end()), words.end());
-  std::vector<std::uint64_t> per_bank(32, 0);
-  for (std::uintptr_t w : words) ++per_bank[(w % banks) % 32];
-  const std::uint64_t worst =
-      *std::max_element(per_bank.begin(), per_bank.end());
-  return std::max<std::uint64_t>(worst, 1);
+  std::array<std::uint32_t, 32> bank_words{};
+  std::uint64_t degree = 1;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    bool seen = false;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (words[j] == words[i]) {
+        seen = true;
+        break;
+      }
+    }
+    if (seen) continue;
+    const std::uint32_t in_bank = ++bank_words[(words[i] % banks) % 32];
+    degree = std::max<std::uint64_t>(degree, in_bank);
+  }
+  return degree;
 }
 
 // Reference transactions: record_global's dedup — both ends of every
@@ -61,16 +71,44 @@ TEST(SharedGroupDegree, ConsecutiveWordsConflictFree) {
   EXPECT_EQ(shared_group_degree(words.data(), words.size(), 16), 1u);
 }
 
+// Every lane count a half-warp step can have, both bank counts, and four
+// word classes: table indices, words past any bounded fast path (at and
+// above 2^32), groups straddling that bound, and groups with many
+// duplicates drawn from 2-4 values.
 TEST(SharedGroupDegree, MatchesReferenceOnRandomGroups) {
+  static_assert(sizeof(std::uintptr_t) == 8);
+  constexpr std::uintptr_t kHigh = std::uintptr_t{1} << 32;
   Rng rng(21);
-  for (int trial = 0; trial < 500; ++trial) {
-    const std::size_t count = 1 + rng.next_below(16);
-    const std::uint32_t banks = (trial % 2 == 0) ? 16u : 32u;
-    std::vector<std::uintptr_t> words(count);
-    for (auto& w : words) w = rng.next_below(256);
-    EXPECT_EQ(shared_group_degree(words.data(), count, banks),
-              ref_degree(words, banks))
-        << "trial " << trial;
+  for (std::size_t count = 0; count <= 16; ++count) {
+    for (const std::uint32_t banks : {16u, 32u}) {
+      for (int word_class = 0; word_class < 4; ++word_class) {
+        for (int trial = 0; trial < 40; ++trial) {
+          std::vector<std::uintptr_t> pool(2 + rng.next_below(3));
+          for (auto& v : pool) v = rng.next_below(trial % 2 ? 64 : kHigh);
+          std::vector<std::uintptr_t> words(count);
+          for (auto& w : words) {
+            switch (word_class) {
+              case 0:  // table indices
+                w = rng.next_below(trial % 2 ? 256 : 4200);
+                break;
+              case 1:  // large words
+                w = kHigh + rng.next_below(trial % 2 ? 512 : kHigh);
+                break;
+              case 2:  // one group across small and large words
+                w = rng.next_below(2) ? rng.next_below(8192)
+                                      : 8192 + rng.next_below(64);
+                break;
+              default:  // duplicates
+                w = pool[rng.next_below(pool.size())];
+            }
+          }
+          EXPECT_EQ(shared_group_degree(words.data(), count, banks),
+                    ref_degree(words, banks))
+              << "count " << count << " banks " << banks << " class "
+              << word_class << " trial " << trial;
+        }
+      }
+    }
   }
 }
 
