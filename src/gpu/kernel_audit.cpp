@@ -14,7 +14,6 @@
 namespace extnc::gpu {
 
 using simgpu::KernelMetrics;
-using simgpu::SegmentBuilder;
 using simgpu::SegmentModel;
 using simgpu::StaticKernelModel;
 
@@ -74,111 +73,6 @@ std::uint8_t natural_from_class(EncodeScheme scheme, int v) {
   EXTNC_CHECK(v <= 254);
   return t.exp[v];
 }
-
-// ------------------------------------------------------------------------
-// The models' accounting sink (kernel_walks.h): SegmentBuilder charges plus
-// the byte extent of every global region the walk touches, so footprints
-// are derived, never asserted.
-
-class ModelSink {
- public:
-  ModelSink(const simgpu::DeviceSpec& spec, std::string name)
-      : spec_(&spec),
-        seg_(spec, std::move(name)),
-        unit_lines_(1),
-        unit_touched_(1) {}
-
-  void global_span(Region region, std::uintptr_t addr, std::size_t span_bytes,
-                   std::uint64_t instrs, std::uint64_t load_bytes,
-                   std::uint64_t store_bytes) {
-    seg_.add_global_span(addr, span_bytes, instrs, load_bytes, store_bytes);
-    touch(region, addr, span_bytes);
-  }
-  void global_group(Region region, const std::uintptr_t* addrs,
-                    std::size_t count, std::size_t access_bytes,
-                    std::uint64_t load_bytes, std::uint64_t store_bytes) {
-    seg_.add_global_group(addrs, count, access_bytes, load_bytes,
-                          store_bytes);
-    for (std::size_t l = 0; l < count; ++l) {
-      touch(region, addrs[l], access_bytes);
-    }
-  }
-  void shared_group(const std::uintptr_t* words, std::size_t count) {
-    seg_.add_shared_group(words, count);
-  }
-  void shared_degree(std::uint64_t degree, std::size_t count) {
-    seg_.add_shared_group_degree(degree, count);
-  }
-  void alu(std::uint64_t deci) { seg_.add_alu_deciops(deci); }
-  // tb4: a cold cache misses once per distinct table line per texture
-  // unit (the table is kResident, static_model.h). Every fetch lands in
-  // the table bound here, so a unit whose touched lines number the
-  // table's lines can miss no more.
-  void bind_texture(std::uintptr_t base, std::size_t bytes) {
-    const std::size_t line = line_bytes();
-    table_lines_ = (base + bytes - 1) / line - base / line + 1;
-  }
-  void texture_fetch(std::uintptr_t addr) {
-    ++fetches_;
-    const std::size_t line = addr / line_bytes();
-    std::vector<bool>& seen = unit_lines_[unit_];
-    if (seen.size() <= line) seen.resize(line + 1);
-    if (!seen[line]) {
-      seen[line] = true;
-      ++first_touches_;
-      ++unit_touched_[unit_];
-    }
-    touch(Region::kExpTable, addr, 1);
-  }
-  bool texture_warm() const {
-    return table_lines_ != 0 && unit_touched_[unit_] == table_lines_;
-  }
-  void texture_bulk(std::uint64_t fetches, std::uintptr_t top_addr) {
-    fetches_ += fetches;
-    touch(Region::kExpTable, top_addr, 1);
-  }
-  void barrier() { ++barriers_; }
-
-  // The texture unit of the block the walk visits next.
-  void set_block(std::size_t block) {
-    unit_ = (block % static_cast<std::size_t>(spec_->num_sms)) /
-            static_cast<std::size_t>(std::max(1, spec_->sms_per_texture_cache));
-    if (unit_lines_.size() <= unit_) {
-      unit_lines_.resize(unit_ + 1);
-      unit_touched_.resize(unit_ + 1);
-    }
-  }
-  std::size_t extent(Region region) const {
-    return extents_[static_cast<std::size_t>(region)];
-  }
-  SegmentModel finish(std::size_t step_width, bool cold_texture = true) {
-    if (fetches_ > 0) {
-      seg_.add_texture_fetches(fetches_, cold_texture ? first_touches_ : 0);
-    }
-    return seg_.finish(step_width, barriers_);
-  }
-
- private:
-  std::size_t line_bytes() const {
-    return std::max<std::size_t>(1, spec_->texture_cache_line_bytes);
-  }
-  void touch(Region region, std::uintptr_t addr, std::size_t bytes) {
-    std::size_t& end = extents_[static_cast<std::size_t>(region)];
-    end = std::max(end, static_cast<std::size_t>(addr) + bytes);
-  }
-
-  const simgpu::DeviceSpec* spec_;
-  SegmentBuilder seg_;
-  std::uint64_t barriers_ = 0;
-  std::uint64_t fetches_ = 0;
-  std::size_t unit_ = 0;
-  std::uint64_t first_touches_ = 0;  // distinct (unit, line) pairs
-  std::vector<std::vector<bool>> unit_lines_;
-  std::vector<std::size_t> unit_touched_;  // lines seen per unit
-  std::size_t table_lines_ = 0;  // lines of the bound table; 0 = unbound
-  std::array<std::size_t, static_cast<std::size_t>(Region::kCount)>
-      extents_{};
-};
 
 // Multiply every counter of a one-block segment model by the block count.
 void scale_segment(SegmentModel& seg, std::uint64_t times) {

@@ -13,9 +13,10 @@
 // Two sinks implement the same calls:
 //  * BlockSink (below) forwards to BlockCtx's fast_* accounting: the
 //    fast path runs the walk per block, at device addresses;
-//  * the static models' sink (kernel_audit.cpp) forwards to
-//    simgpu::SegmentBuilder's add_* calls and records the byte extent of
-//    each global Region, so footprints come from the addresses visited.
+//  * ModelSink (below), the static models' sink (kernel_audit.cpp),
+//    forwards to simgpu::SegmentBuilder's add_* calls and records the
+//    byte extent of each global Region, so footprints come from the
+//    addresses visited.
 //    Model addresses are offsets from 64-byte aligned bases (every device
 //    buffer is an AlignedBuffer), which coalesce exactly like the device
 //    pointers.
@@ -23,7 +24,12 @@
 // std::function call per access.
 //
 // Sink calls:
-//   global_span(Region, addr, span_bytes, instrs, load_bytes, store_bytes)
+//   global_span(Region, addr, span_bytes, instrs, load_bytes, store_bytes,
+//               times = 1)
+//       `times` equal steps, one per address congruent to addr modulo the
+//       coalescing segment, addr the highest of them (the one whose span
+//       ends last, for footprints)
+//   coalesce_bytes()               (the device's coalescing segment)
 //   global_group(Region, addrs, count, access_bytes, load_bytes,
 //                store_bytes)
 //   shared_group(words, count)
@@ -39,6 +45,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "gf256/gf.h"
@@ -48,6 +57,7 @@
 #include "gpu/kernel_cost.h"
 #include "gpu/table_layout.h"
 #include "simgpu/executor.h"
+#include "simgpu/static_model.h"
 #include "util/assert.h"
 
 namespace extnc::gpu {
@@ -93,9 +103,13 @@ class BlockSink {
 
   void global_span(Region, std::uintptr_t addr, std::size_t span_bytes,
                    std::uint64_t instrs, std::uint64_t load_bytes,
-                   std::uint64_t store_bytes) {
-    block_->fast_global_span(addr, span_bytes, instrs, load_bytes,
-                             store_bytes);
+                   std::uint64_t store_bytes, std::uint64_t times = 1) {
+    block_->fast_global_bulk(
+        simgpu::span_transactions(addr, span_bytes, coalesce_bytes()) * times,
+        instrs * times, load_bytes * times, store_bytes * times);
+  }
+  std::uint64_t coalesce_bytes() const {
+    return block_->spec().coalesce_segment_bytes;
   }
   void global_group(Region, const std::uintptr_t* addrs, std::size_t count,
                     std::size_t access_bytes, std::uint64_t load_bytes,
@@ -129,6 +143,116 @@ class BlockSink {
   std::uint64_t alu_ = 0;
   std::uint64_t bulk_fetches_ = 0;
   std::size_t missing_lines_ = 0;
+};
+
+// ------------------------------------------------------------------------
+// Static-model sink: SegmentBuilder charges plus the byte extent of every
+// global region the walk touches, so the models' footprints are derived,
+// never asserted.
+
+class ModelSink {
+ public:
+  ModelSink(const simgpu::DeviceSpec& spec, std::string name)
+      : spec_(&spec),
+        seg_(spec, std::move(name)),
+        unit_lines_(1),
+        unit_touched_(1) {}
+
+  void global_span(Region region, std::uintptr_t addr, std::size_t span_bytes,
+                   std::uint64_t instrs, std::uint64_t load_bytes,
+                   std::uint64_t store_bytes, std::uint64_t times = 1) {
+    seg_.add_global_span(addr, span_bytes, instrs, load_bytes, store_bytes,
+                         times);
+    touch(region, addr, span_bytes);
+  }
+  std::uint64_t coalesce_bytes() const {
+    return spec_->coalesce_segment_bytes;
+  }
+  void global_group(Region region, const std::uintptr_t* addrs,
+                    std::size_t count, std::size_t access_bytes,
+                    std::uint64_t load_bytes, std::uint64_t store_bytes) {
+    seg_.add_global_group(addrs, count, access_bytes, load_bytes,
+                          store_bytes);
+    for (std::size_t l = 0; l < count; ++l) {
+      touch(region, addrs[l], access_bytes);
+    }
+  }
+  void shared_group(const std::uintptr_t* words, std::size_t count) {
+    seg_.add_shared_group(words, count);
+  }
+  void shared_degree(std::uint64_t degree, std::size_t count) {
+    seg_.add_shared_group_degree(degree, count);
+  }
+  void alu(std::uint64_t deci) { seg_.add_alu_deciops(deci); }
+  // tb4: a cold cache misses once per distinct table line per texture
+  // unit (the table is kResident, static_model.h). Every fetch lands in
+  // the table bound here, so a unit whose touched lines number the
+  // table's lines can miss no more.
+  void bind_texture(std::uintptr_t base, std::size_t bytes) {
+    const std::size_t line = line_bytes();
+    table_lines_ = (base + bytes - 1) / line - base / line + 1;
+  }
+  void texture_fetch(std::uintptr_t addr) {
+    ++fetches_;
+    const std::size_t line = addr / line_bytes();
+    std::vector<bool>& seen = unit_lines_[unit_];
+    if (seen.size() <= line) seen.resize(line + 1);
+    if (!seen[line]) {
+      seen[line] = true;
+      ++first_touches_;
+      ++unit_touched_[unit_];
+    }
+    touch(Region::kExpTable, addr, 1);
+  }
+  bool texture_warm() const {
+    return table_lines_ != 0 && unit_touched_[unit_] == table_lines_;
+  }
+  void texture_bulk(std::uint64_t fetches, std::uintptr_t top_addr) {
+    fetches_ += fetches;
+    touch(Region::kExpTable, top_addr, 1);
+  }
+  void barrier() { ++barriers_; }
+
+  // The texture unit of the block the walk visits next.
+  void set_block(std::size_t block) {
+    unit_ = (block % static_cast<std::size_t>(spec_->num_sms)) /
+            static_cast<std::size_t>(std::max(1, spec_->sms_per_texture_cache));
+    if (unit_lines_.size() <= unit_) {
+      unit_lines_.resize(unit_ + 1);
+      unit_touched_.resize(unit_ + 1);
+    }
+  }
+  std::size_t extent(Region region) const {
+    return extents_[static_cast<std::size_t>(region)];
+  }
+  simgpu::SegmentModel finish(std::size_t step_width,
+                              bool cold_texture = true) {
+    if (fetches_ > 0) {
+      seg_.add_texture_fetches(fetches_, cold_texture ? first_touches_ : 0);
+    }
+    return seg_.finish(step_width, barriers_);
+  }
+
+ private:
+  std::size_t line_bytes() const {
+    return std::max<std::size_t>(1, spec_->texture_cache_line_bytes);
+  }
+  void touch(Region region, std::uintptr_t addr, std::size_t bytes) {
+    std::size_t& end = extents_[static_cast<std::size_t>(region)];
+    end = std::max(end, static_cast<std::size_t>(addr) + bytes);
+  }
+
+  const simgpu::DeviceSpec* spec_;
+  simgpu::SegmentBuilder seg_;
+  std::uint64_t barriers_ = 0;
+  std::uint64_t fetches_ = 0;
+  std::size_t unit_ = 0;
+  std::uint64_t first_touches_ = 0;  // distinct (unit, line) pairs
+  std::vector<std::vector<bool>> unit_lines_;
+  std::vector<std::size_t> unit_touched_;  // lines seen per unit
+  std::size_t table_lines_ = 0;  // lines of the bound table; 0 = unbound
+  std::array<std::size_t, static_cast<std::size_t>(Region::kCount)>
+      extents_{};
 };
 
 // ------------------------------------------------------------------------
@@ -205,7 +329,11 @@ void table_load_walk(Sink& sink, EncodeScheme scheme, std::size_t threads,
 // stride covers them in one pass). A half-warp may straddle coded blocks
 // (the recoder's aggregate rows, odd k); inside one coded block its
 // coefficient load is a broadcast and its source and store spans are
-// contiguous, which the exact span closed form charges.
+// contiguous, which the exact span closed form charges. A loop-based
+// half-warp inside one coded block repeats the same charges for every
+// source row, so its n rows are charged as runs (global_span's `times`):
+// source row i + period starts at row i's offset within a coalescing
+// segment, so the spans of one alignment class cost the same.
 
 // Lookup structure of an aligned table-scheme encode: when half-warps
 // never straddle coded blocks, a half-warp's lookups for source row i and
@@ -297,6 +425,12 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
   std::array<std::size_t, 16> jv;
   std::array<std::size_t, 16> wv;
   std::array<std::uint8_t, 16> log_c;
+  // Loop runs: rows per alignment class, and the multiply loops' deci-ops
+  // summed over the coefficient row of coded block `sum_block`.
+  const std::uint64_t segment = sink.coalesce_bytes();
+  const std::size_t period = segment / std::gcd<std::uint64_t>(w.k, segment);
+  std::size_t sum_block = static_cast<std::size_t>(-1);
+  std::uint64_t row_sum = 0;
 
   for (std::size_t base = block * w.threads; base < w.total_words;
        base += w.stride) {
@@ -331,6 +465,30 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
         sink.global_group(region, addrs.data(), cnt, access_bytes, load,
                           store);
       };
+      if (loop && one_block) {
+        const std::size_t j = jv[0];
+        if (j != sum_block) {
+          sum_block = j;
+          row_sum = 0;
+          for (std::size_t i = 0; i < w.n; ++i) {
+            row_sum += iteration_deci[w.coeffs[j * w.n + i]];
+          }
+        }
+        // n coefficient broadcasts, one segment each.
+        sink.global_span(Region::kCoefficients,
+                         w.coeff_addr + j * w.n + w.n - 1, 1, cnt, cnt, 0,
+                         w.n);
+        const std::uintptr_t first = w.src_addr + wv[0] * 4;
+        for (std::size_t r = 0; r < std::min(period, w.n); ++r) {
+          const std::size_t rows = (w.n - r + period - 1) / period;
+          sink.global_span(Region::kSource,
+                           first + (r + (rows - 1) * period) * w.k, cnt * 4,
+                           cnt, cnt * 4, 0, rows);
+        }
+        sink.alu(cnt * (row_sum + word_deci));
+        charge(Region::kOutput, w.out_addr, w.k, 4, 4, 0, cnt * 4);
+        continue;
+      }
       for (std::size_t i = 0; i < w.n; ++i) {
         // Coefficient byte of each lane's coded block.
         charge(Region::kCoefficients, w.coeff_addr + i, w.n, 0, 1, cnt, 0);
@@ -356,12 +514,8 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
         if (loop) {
           // Per-lane multiply loops, one iteration per coefficient bit.
           std::uint64_t deci = 0;
-          if (one_block) {
-            deci = cnt * iteration_deci[coeff[jv[0] * w.n]];
-          } else {
-            for (std::size_t l = 0; l < cnt; ++l) {
-              deci += iteration_deci[coeff[jv[l] * w.n]];
-            }
+          for (std::size_t l = 0; l < cnt; ++l) {
+            deci += iteration_deci[coeff[jv[l] * w.n]];
           }
           sink.alu(deci);
           continue;

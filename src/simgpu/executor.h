@@ -44,7 +44,6 @@
 #include "simgpu/device_spec.h"
 #include "simgpu/exec_engine.h"
 #include "simgpu/metrics.h"
-#include "simgpu/static_model.h"
 #include "util/aligned_buffer.h"
 #include "util/assert.h"
 
@@ -221,29 +220,11 @@ class BlockCtx {
   // quantize the product).
   void fast_alu_deciops(std::uint64_t deci) { metrics_->alu_deciops += deci; }
 
-  // One half-warp global access step whose lanes touch exactly the byte
-  // range [addr, addr + span_bytes) — a contiguous sweep or a broadcast
-  // (span_bytes = access size). Charges `instrs` memory instructions (one
-  // per participating lane; they occupy issue slots exactly like the
-  // interpreted pending_mem_instrs_ fold) and the given demand bytes;
-  // transactions = distinct 64-byte segments the span overlaps, which for
-  // a contiguous/broadcast group equals the interpreted per-lane dedup.
-  // Strided groups must instead account each contiguous run separately.
-  void fast_global_span(std::uintptr_t addr, std::size_t span_bytes,
-                        std::uint64_t instrs, std::uint64_t load_bytes,
-                        std::uint64_t store_bytes) {
-    metrics_->global_transactions +=
-        span_transactions(addr, span_bytes, spec_->coalesce_segment_bytes);
-    metrics_->global_load_bytes += load_bytes;
-    metrics_->global_store_bytes += store_bytes;
-    metrics_->alu_deciops += instrs * 10;
-  }
-
   // One half-warp global access step at arbitrary per-lane addresses, each
   // access `access_bytes` wide: transactions = distinct 64-byte segments
   // across the group, deduplicated exactly like record_global. Use this
-  // for strided/scattered groups; fast_global_span is the cheap closed
-  // form for contiguous or broadcast ones.
+  // for strided/scattered groups; contiguous or broadcast ones charge the
+  // closed form span_transactions through fast_global_bulk.
   void fast_global_group(const std::uintptr_t* addrs, std::size_t count,
                          std::size_t access_bytes, std::uint64_t load_bytes,
                          std::uint64_t store_bytes);

@@ -2,16 +2,25 @@
 // every built-in device, each (row, group, byte) entry must equal what the
 // shared degree rule gives for the words the kernel's lanes read, built
 // lane by lane from the table layout with concrete coefficient logs.
+//
+// The loop-based encode walk's run charge against the per-row walk it
+// replaced: both sinks must record exactly what charging every (half-warp,
+// source row) pair one call at a time records.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gf256/gf.h"
+#include "gf256/swar.h"
+#include "gpu/kernel_cost.h"
 #include "gpu/kernel_walks.h"
 #include "gpu/table_layout.h"
 #include "simgpu/device_spec.h"
+#include "simgpu/executor.h"
 #include "simgpu/static_model.h"
 #include "util/rng.h"
 
@@ -102,6 +111,185 @@ TEST(TableLookups, MatchesPerGroupReference) {
                   << where << " log_c " << log_c;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// The loop-based encode walk as it charged before the run charge: every
+// source row of every half-warp is one coefficient step, one source step
+// and one ALU charge.
+template <class Sink>
+void per_row_loop_walk(Sink& sink, const EncodeWalk& w, std::size_t block) {
+  const EncodeCost cost = encode_cost(EncodeScheme::kLoopBased);
+  const std::size_t wpb = w.k / 4;
+  std::array<std::uintptr_t, 16> addrs;
+  std::array<std::size_t, 16> jv;
+  std::array<std::size_t, 16> wv;
+  for (std::size_t base = block * w.threads; base < w.total_words;
+       base += w.stride) {
+    const std::size_t lanes_end = std::min(w.threads, w.total_words - base);
+    for (std::size_t l0 = 0; l0 < lanes_end; l0 += w.half) {
+      const std::size_t cnt = std::min(w.half, lanes_end - l0);
+      for (std::size_t l = 0; l < cnt; ++l) {
+        jv[l] = (base + l0 + l) / wpb;
+        wv[l] = (base + l0 + l) % wpb;
+      }
+      const bool one_block = jv[0] == jv[cnt - 1];
+      auto charge = [&](Region region, std::uintptr_t first,
+                        std::size_t row_stride, std::size_t word_bytes,
+                        std::size_t access_bytes, std::uint64_t load,
+                        std::uint64_t store) {
+        if (one_block) {
+          sink.global_span(region,
+                           first + jv[0] * row_stride + wv[0] * word_bytes,
+                           (cnt - 1) * word_bytes + access_bytes, cnt, load,
+                           store);
+          return;
+        }
+        for (std::size_t l = 0; l < cnt; ++l) {
+          addrs[l] = first + jv[l] * row_stride + wv[l] * word_bytes;
+        }
+        sink.global_group(region, addrs.data(), cnt, access_bytes, load,
+                          store);
+      };
+      for (std::size_t i = 0; i < w.n; ++i) {
+        charge(Region::kCoefficients, w.coeff_addr + i, w.n, 0, 1, cnt, 0);
+        charge(Region::kSource, w.src_addr + i * w.k, 0, 4, 4, cnt * 4, 0);
+        std::uint64_t deci = 0;
+        for (std::size_t l = 0; l < cnt; ++l) {
+          deci += simgpu::KernelMetrics::deciops(
+              cost.per_iteration *
+              gf256::loop_iterations(w.coeffs[jv[l] * w.n + i]));
+        }
+        sink.alu(deci);
+      }
+      sink.alu(cnt * simgpu::KernelMetrics::deciops(cost.per_word));
+      charge(Region::kOutput, w.out_addr, w.k, 4, 4, 0, cnt * 4);
+    }
+  }
+  sink.barrier();
+}
+
+void expect_same_metrics(const simgpu::KernelMetrics& run,
+                         const simgpu::KernelMetrics& ref,
+                         const std::string& where) {
+  EXPECT_EQ(run.alu_deciops, ref.alu_deciops) << where;
+  EXPECT_EQ(run.global_load_bytes, ref.global_load_bytes) << where;
+  EXPECT_EQ(run.global_store_bytes, ref.global_store_bytes) << where;
+  EXPECT_EQ(run.global_transactions, ref.global_transactions) << where;
+  EXPECT_EQ(run.shared_accesses, ref.shared_accesses) << where;
+  EXPECT_EQ(run.shared_access_events, ref.shared_access_events) << where;
+  EXPECT_EQ(run.shared_serialized_cycles, ref.shared_serialized_cycles)
+      << where;
+  EXPECT_EQ(run.texture_fetches, ref.texture_fetches) << where;
+  EXPECT_EQ(run.texture_misses, ref.texture_misses) << where;
+  EXPECT_EQ(run.atomic_ops, ref.atomic_ops) << where;
+  EXPECT_EQ(run.barriers, ref.barriers) << where;
+  EXPECT_EQ(run.kernel_launches, ref.kernel_launches) << where;
+  EXPECT_EQ(run.blocks, ref.blocks) << where;
+  EXPECT_EQ(run.threads_per_block, ref.threads_per_block) << where;
+}
+
+TEST(LoopRuns, MatchesPerRowReference) {
+  const simgpu::DeviceSpec* devices[] = {&simgpu::gtx280(),
+                                         &simgpu::geforce_8800gt(),
+                                         &simgpu::hypothetical_64bit()};
+  struct Geometry {
+    const char* name;
+    std::size_t n, k, count;
+  };
+  constexpr Geometry kGeometries[] = {
+      {"aligned n=32 k=4096", 32, 4096, 4},
+      // k % 64 == 8: eight alignment classes of source rows; 130 words per
+      // coded block, so some half-warps straddle, and a partial last block.
+      {"classes n=24 k=520", 24, 520, 8},
+      // 560 words: blocks of 256, 256 and 48 threads.
+      {"partial last block n=12 k=448", 12, 448, 5},
+      // 9 words per coded block: most half-warps straddle.
+      {"straddling n=10 k=36", 10, 36, 20},
+  };
+  struct Bases {
+    std::uintptr_t src, coeffs, out;
+  };
+  // The models' zero-based offsets, and device-like bases at odd offsets
+  // within a coalescing segment.
+  constexpr Bases kBases[] = {{0, 0, 0}, {0x10020, 0x20007, 0x30010}};
+  Rng rng(27);
+  for (const simgpu::DeviceSpec* spec : devices) {
+    for (const Geometry& g : kGeometries) {
+      for (const int fill : {-1, 0x01, 0xff}) {
+        std::vector<std::uint8_t> coeffs(g.count * g.n);
+        for (auto& c : coeffs) {
+          c = fill < 0 ? rng.next_byte() : static_cast<std::uint8_t>(fill);
+        }
+        for (const Bases& at : kBases) {
+          const std::size_t total_words = g.count * (g.k / 4);
+          const std::size_t threads = std::min<std::size_t>(256, total_words);
+          const std::size_t blocks = (total_words + threads - 1) / threads;
+          // The loop walk reads no source bytes.
+          const EncodeWalk walk{
+              .scheme = EncodeScheme::kLoopBased,
+              .n = g.n,
+              .k = g.k,
+              .total_words = total_words,
+              .threads = threads,
+              .stride = blocks * threads,
+              .half = static_cast<std::size_t>(spec->half_warp),
+              .coeffs = coeffs.data(),
+              .src_addr = at.src,
+              .coeff_addr = at.coeffs,
+              .out_addr = at.out};
+          const std::string where = std::string(spec->name) + " " + g.name +
+                                    " fill " + std::to_string(fill) +
+                                    " src " + std::to_string(at.src);
+
+          // Fast-path sink: one launch per walk.
+          auto launch = [&](bool runs) {
+            simgpu::Launcher launcher(*spec);
+            launcher.launch({.blocks = blocks,
+                             .threads_per_block = threads,
+                             .check = simgpu::CheckToggle::kOff,
+                             .shape = {}},
+                            [&](simgpu::BlockCtx& block) {
+                              BlockSink sink(block);
+                              if (runs) {
+                                encode_block_walk(sink, walk,
+                                                  block.block_index());
+                              } else {
+                                per_row_loop_walk(sink, walk,
+                                                  block.block_index());
+                              }
+                            });
+            return launcher.metrics();
+          };
+          expect_same_metrics(launch(true), launch(false), "fast " + where);
+
+          // Model sink: every block through one builder, as encode_model.
+          ModelSink run(*spec, "encode");
+          ModelSink ref(*spec, "encode");
+          for (std::size_t b = 0; b < blocks; ++b) {
+            run.set_block(b);
+            ref.set_block(b);
+            encode_block_walk(run, walk, b);
+            per_row_loop_walk(ref, walk, b);
+          }
+          for (std::size_t r = 0; r < static_cast<std::size_t>(Region::kCount);
+               ++r) {
+            EXPECT_EQ(run.extent(static_cast<Region>(r)),
+                      ref.extent(static_cast<Region>(r)))
+                << "model " << where << " region " << r;
+          }
+          const simgpu::SegmentModel run_seg = run.finish(threads);
+          const simgpu::SegmentModel ref_seg = ref.finish(threads);
+          expect_same_metrics(run_seg.counters, ref_seg.counters,
+                              "model " + where);
+          EXPECT_EQ(run_seg.degree_events, ref_seg.degree_events)
+              << "model " << where;
+          EXPECT_EQ(run_seg.max_group_transactions,
+                    ref_seg.max_group_transactions)
+              << "model " << where;
         }
       }
     }
