@@ -20,9 +20,9 @@
 // for the fast path against the interpreted serial engine; the fast path
 // is single-host-thread SIMD, so this floor holds on any runner.
 // --min-table-fast-speedup X applies that floor to the encode/tb*
-// workloads only — the table schemes lean on the cached access-pattern
-// profile (gpu/gpu_encoder.h TableFastProfile), so this is the regression
-// gate for profile-based accounting staying ahead of byte walking.
+// workloads only — the table schemes lean on the encode walk's table-run
+// charge (gpu/kernel_walks.h TableLookups), so this is the regression
+// gate for run-level accounting staying ahead of byte walking.
 #include <chrono>
 #include <cstdio>
 #include <string>

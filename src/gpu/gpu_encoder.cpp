@@ -10,7 +10,6 @@
 #include "gpu/kernel_cost.h"
 #include "gpu/kernel_walks.h"
 #include "gpu/table_layout.h"
-#include "simgpu/static_model.h"
 #include "util/assert.h"
 
 namespace extnc::gpu {
@@ -104,21 +103,21 @@ GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
     preprocess_segment();
   }
 
-  // The table-scheme fast-path profiles are functions of the immutable
-  // accounting-domain segment and the device alone, so they are built
-  // here, before any launch that reads them: block bodies, which the
-  // parallel engine runs concurrently, only read them.
+  // The table-scheme fast-path accounting is a function of the immutable
+  // accounting-domain segment and the device alone, so it is built here,
+  // before any launch that reads it: block bodies, which the parallel
+  // engine runs concurrently, only read it.
   const auto half = static_cast<std::size_t>(spec.half_warp);
   if (scheme_ != EncodeScheme::kLoopBased && half <= 16) {
     if (scheme_ != EncodeScheme::kTable4) {
       table_load_ = table_load_model(spec, scheme_, kTableThreads).counters;
     }
-    table_fast_aligned_ =
-        table_lookups_apply(scheme_, p.k, kTableThreads, half);
-    if (table_fast_aligned_) {
-      build_table_fast_profile(scheme_is_preprocessed(scheme_)
-                                   ? log_segment_.data()
-                                   : segment_->data());
+    if (table_lookups_apply(scheme_, p.k, kTableThreads, half)) {
+      table_lookups_ = table_lookups(spec, scheme_,
+                                     scheme_is_preprocessed(scheme_)
+                                         ? log_segment_.data()
+                                         : segment_->data(),
+                                     p.n, p.k);
     }
   }
 }
@@ -429,7 +428,9 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
                         .src_addr = uptr(src),
                         .coeff_addr = uptr(coeffs),
                         .out_addr = uptr(out),
-                        .tex_addr = uptr(exp_table_bytes_.data())};
+                        .tex_addr = uptr(exp_table_bytes_.data()),
+                        .lookups = table_lookups_ ? &*table_lookups_
+                                                  : nullptr};
 
   // The exp lookup's home names the kernel: texture for TB-4, shared
   // memory (replicated for TB-5) otherwise.
@@ -437,18 +438,15 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
   simgpu::FastBlockTally tally;
   launcher_.launch(
       {.blocks = blocks, .threads_per_block = threads}, [&](BlockCtx& block) {
+        // Bulk lowering: the cooperative table load's one-block counters,
+        // the shared accounting walk (by table runs when the segment's
+        // lookups apply) and SIMD region products.
         if (block.fast_path() && walk.half <= 16) {
           tally.lowered();
-          // The profiled lowering needs half-warps that never straddle
-          // coded blocks (and, for kTable5, a lane-position-independent
-          // table interleave); anything else takes the shared walk.
-          if (table_fast_aligned_) {
-            run_table_based_fast(block, batch, cost, total_words, threads,
-                                 blocks, src, coeffs, out, sentinel);
-            return;
+          if (walk.lookups == nullptr) tally.straddle();
+          if (scheme_ != EncodeScheme::kTable4) {
+            block.fast_counters(table_load_);
           }
-          tally.straddle();
-          fast_load_tables(block);
           BlockSink sink(block);
           if (scheme_ == EncodeScheme::kTable4) {
             sink.bind_texture(walk.tex_addr, kExpTableEntries);
@@ -549,208 +547,6 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
           }
         });
       });
-}
-
-// Cooperative table-load accounting for the table-based lowerings: the
-// walked one-block load segment (one barrier, like the interpreted step).
-void GpuEncoder::fast_load_tables(BlockCtx& block) const {
-  if (scheme_ == EncodeScheme::kTable4) return;  // texture-bound, no load
-  block.fast_counters(table_load_);
-}
-
-// Sum the segment's per-(row, group, byte) lookups (kernel_walks.h) into
-// per-(group, row) prefix sums, once for the encoder's immutable
-// accounting-domain segment.
-void GpuEncoder::build_table_fast_profile(const std::uint8_t* src) {
-  const coding::Params& p = params();
-  const simgpu::DeviceSpec& spec = launcher_.spec();
-  const std::size_t half = spec.half_warp;
-  const bool tb0 = scheme_ == EncodeScheme::kTable0;
-  const bool tb4 = scheme_ == EncodeScheme::kTable4;
-  const TableLookups lk = table_lookups(spec, scheme_, src, p.n, p.k);
-  const std::size_t groups = lk.groups;
-
-  TableFastProfile& prof = table_profile_;
-  prof.groups = groups;
-  const std::size_t len = p.n * (groups + 1);
-  prof.src_tx.assign(len, 0);
-  prof.exp_events.assign(len, 0);
-  prof.exp_accesses.assign(len, 0);
-  for (auto& v : prof.exp_cycles) v.assign(len, 0);
-  prof.log_cycles.assign(tb0 ? len : 0, 0);
-
-  for (std::size_t i = 0; i < p.n; ++i) {
-    const std::size_t row = i * (groups + 1);
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t at = row + g;
-      prof.src_tx[at + 1] =
-          prof.src_tx[at] +
-          static_cast<std::uint32_t>(simgpu::span_transactions(
-              uptr(src + i * p.k + g * half * 4), half * 4,
-              spec.coalesce_segment_bytes));
-      prof.exp_events[at + 1] = prof.exp_events[at];
-      prof.exp_accesses[at + 1] = prof.exp_accesses[at];
-      for (auto& cyc : prof.exp_cycles) cyc[at + 1] = cyc[at];
-      if (tb0) prof.log_cycles[at + 1] = prof.log_cycles[at];
-      for (std::size_t b = 0; b < 4; ++b) {
-        const std::size_t e = lk.index(i, g, b);
-        if (tb0) prof.log_cycles[at + 1] += lk.log_degree[e];
-        if (lk.active[e] == 0) continue;
-        prof.exp_events[at + 1] += 1;
-        prof.exp_accesses[at + 1] += lk.active[e];
-        if (tb4) continue;  // texture fetches: no shared lookup
-        for (std::size_t cc = 0; cc < 4; ++cc) {
-          prof.exp_cycles[cc][at + 1] += lk.exp_degree[e][cc];
-        }
-      }
-    }
-  }
-}
-
-// Fast-path body for one aligned table-based block. Outputs come from SIMD
-// region multiplies over the natural-domain segment/coefficients (the
-// log-domain round trip is exact GF(2^8) arithmetic, so the bytes are
-// identical); accounting charges whole same-coded-block runs from the
-// cached profile — a handful of prefix-sum subtractions per (run, i) —
-// instead of re-walking every payload byte.
-void GpuEncoder::run_table_based_fast(BlockCtx& block,
-                                      coding::CodedBatch& batch,
-                                      const EncodeCost& cost,
-                                      std::size_t total_words,
-                                      std::size_t threads, std::size_t blocks,
-                                      const std::uint8_t* src,
-                                      const std::uint8_t* coeffs,
-                                      std::uint8_t* out,
-                                      std::uint8_t sentinel) const {
-  const coding::Params p = params();
-  const std::size_t words_per_block = p.k / 4;
-  const std::size_t half = block.spec().half_warp;
-  const std::size_t stride = blocks * threads;
-  const gf256::Ops& gops = gf256::ops();
-  const std::uint8_t* raw_src = segment_->data();
-  const std::uint8_t* raw_coeffs = batch.coefficients_data();
-  const bool tb0 = scheme_ == EncodeScheme::kTable0;
-  const bool tb4 = scheme_ == EncodeScheme::kTable4;
-  const std::uint8_t* log_table = tb0 ? log_table_bytes_.data() : nullptr;
-
-  fast_load_tables(block);
-  const TableFastProfile& prof = table_profile_;
-  const std::size_t g1 = prof.groups + 1;
-
-  const std::uint64_t word_deci =
-      simgpu::KernelMetrics::deciops(cost.per_word);
-  const std::uint64_t byte_deci =
-      simgpu::KernelMetrics::deciops(cost.per_byte);
-  const std::uint64_t seg_bytes = block.spec().coalesce_segment_bytes;
-  std::uint64_t tx = 0, instrs = 0, load = 0, store = 0;
-  std::uint64_t sacc = 0, sev = 0, scyc = 0, alu = 0, fetches = 0;
-
-  for (std::size_t bb = block.block_index() * threads; bb < total_words;
-       bb += stride) {
-    // total_words and threads are half-warp multiples here, so every group
-    // is full and runs split only at coded-block boundaries.
-    const std::size_t wend = bb + std::min(threads, total_words - bb);
-    std::size_t w = bb;
-    while (w < wend) {
-      const std::size_t j = w / words_per_block;
-      const std::size_t word0 = w % words_per_block;
-      const std::size_t run = std::min(words_per_block - word0, wend - w);
-      const std::size_t g0 = word0 / half;
-      const std::uint64_t gc = run / half;
-      const std::uint8_t* coeff_row = coeffs + j * p.n;
-      const std::uint8_t* raw_row = raw_coeffs + j * p.n;
-      std::uint8_t* dst = out + j * p.k + word0 * 4;
-      std::memset(dst, 0, run * 4);
-      // Every store group in the run shares one 64-byte phase (groups step
-      // by half * 4 = a whole number of segments when half >= 16).
-      tx += gc * simgpu::span_transactions(
-                     reinterpret_cast<std::uintptr_t>(dst), half * 4,
-                     seg_bytes);
-      instrs += gc * half;
-      store += run * 4;
-      for (std::size_t i = 0; i < p.n; ++i) {
-        std::uint8_t log_c = coeff_row[i];
-        tx += gc;  // coefficient broadcast: 1-byte span, one segment
-        instrs += 2 * gc * half;  // coeff + src loads
-        load += gc * half * 5;    // 1 coeff byte + 4 src bytes per lane
-        const std::size_t row = i * g1;
-        tx += prof.src_tx[row + g0 + gc] - prof.src_tx[row + g0];
-        alu += gc * half * word_deci;
-        if (tb0) {
-          // Broadcast log lookup: all lanes hit one word, degree 1.
-          sacc += gc * half;
-          sev += gc;
-          scyc += gc;
-          log_c = log_table[log_c];
-        }
-        gops.mul_add_region(dst, raw_src + i * p.k + word0 * 4, raw_row[i],
-                            run * 4);
-        if (log_c == sentinel) continue;
-        alu += gc * half * 4 * byte_deci;
-        if (tb0) {
-          scyc += prof.log_cycles[row + g0 + gc] - prof.log_cycles[row + g0];
-          sev += gc * 4;
-          sacc += gc * half * 4;
-        }
-        if (tb4) {
-          fetches +=
-              prof.exp_accesses[row + g0 + gc] - prof.exp_accesses[row + g0];
-        } else {
-          const auto& cyc = prof.exp_cycles[log_c % 4];
-          scyc += cyc[row + g0 + gc] - cyc[row + g0];
-          sev += prof.exp_events[row + g0 + gc] - prof.exp_events[row + g0];
-          sacc +=
-              prof.exp_accesses[row + g0 + gc] - prof.exp_accesses[row + g0];
-        }
-      }
-      w += run;
-    }
-  }
-  block.fast_global_bulk(tx, instrs, load, store);
-  block.fast_shared_bulk(sacc, sev, scyc);
-  block.fast_alu_deciops(alu);
-  block.fast_barriers(1);
-
-  // --- kTable4: the table is cache-resident (16 lines, distinct sets), so
-  // once every table line is tagged no later fetch can miss. Replay the
-  // interpreted lane-major order only through that residency window, then
-  // charge the remaining fetches in closed form.
-  if (tb4) {
-    simgpu::TextureCache& cache = block.texture_cache();
-    const auto base =
-        reinterpret_cast<std::uintptr_t>(exp_table_bytes_.data());
-    const std::size_t line_bytes = cache.line_bytes();
-    const std::uintptr_t first_line = base / line_bytes;
-    const std::uintptr_t last_line =
-        (base + kExpTableEntries - 1) / line_bytes;
-    std::size_t missing = 0;
-    for (std::uintptr_t line = first_line; line <= last_line; ++line) {
-      if (!cache.resident(line * line_bytes)) ++missing;
-    }
-    std::uint64_t replayed = 0;
-    for (std::size_t lane = 0; lane < threads && missing > 0; ++lane) {
-      for (std::size_t w = block.block_index() * threads + lane;
-           w < total_words && missing > 0; w += stride) {
-        const std::size_t j = w / words_per_block;
-        const std::size_t word = w % words_per_block;
-        const std::uint8_t* coeff_row = coeffs + j * p.n;
-        for (std::size_t i = 0; i < p.n && missing > 0; ++i) {
-          const std::uint8_t log_c = coeff_row[i];
-          if (log_c == sentinel) continue;
-          const std::uint8_t* s = src + i * p.k + word * 4;
-          for (int b = 0; b < 4 && missing > 0; ++b) {
-            const std::uint8_t log_s = s[b];
-            if (log_s == sentinel) continue;
-            const std::uintptr_t addr = base + log_c + log_s;
-            if (!cache.resident(addr)) --missing;
-            block.fast_texture_fetch(addr);
-            ++replayed;
-          }
-        }
-      }
-    }
-    block.fast_texture_bulk(fetches - replayed, 0);
-  }
 }
 
 }  // namespace extnc::gpu

@@ -15,15 +15,14 @@
 // streaming-server scenario does.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "coding/batch.h"
 #include "coding/segment.h"
 #include "gpu/encode_scheme.h"
-#include "gpu/kernel_cost.h"
+#include "gpu/kernel_walks.h"
 #include "simgpu/executor.h"
 #include "util/aligned_buffer.h"
 #include "util/rng.h"
@@ -85,52 +84,10 @@ class GpuEncoder {
   void reset_metrics();
 
  private:
-  // Cached access-pattern profile for the aligned table-scheme fast path.
-  // The per-byte costs of a table block — shared-bank serialization degrees
-  // of the exp/log lookups, source-span coalescing — are functions of
-  // (word-group g within a coded block, coefficient row i) and, for the
-  // lookup degrees, of log_c mod 4 only (the segment's TableLookups,
-  // kernel_walks.h). The segment is immutable for the encoder's lifetime,
-  // so these are summed once, in the constructor, as prefix sums over g
-  // (index [i * (groups + 1) + g]), letting the steady-state encode loop
-  // charge a whole j-run with a handful of subtractions instead of
-  // re-deduplicating every byte.
-  struct TableFastProfile {
-    std::size_t groups = 0;  // words_per_block / half_warp
-    std::vector<std::uint32_t> src_tx;        // source-load span transactions
-    std::array<std::vector<std::uint32_t>, 4> exp_cycles;  // by log_c % 4
-    std::vector<std::uint32_t> exp_events;    // byte positions with a lookup
-    std::vector<std::uint32_t> exp_accesses;  // live lanes over 4 bytes
-                                              // (kTable4: texture fetches)
-    std::vector<std::uint32_t> log_cycles;    // kTable0 log-group degrees
-  };
-
   void preprocess_segment();
   void preprocess_coefficients(const coding::CodedBatch& batch);
   void run_loop_based(coding::CodedBatch& batch);
   void run_table_based(coding::CodedBatch& batch);
-  // Profiled lowering of the aligned table-based kernel body for one
-  // block (taken when BlockCtx::fast_path() holds and half-warps never
-  // straddle coded blocks): SIMD region math over the natural-domain
-  // buffers plus bulk accounting from table_profile_ that is bit-identical
-  // to the interpreted lane stepping. `src`/`coeffs` are the
-  // accounting-domain pointers (log domain for preprocessed schemes);
-  // kTable4 replays its exp fetches lane-major through the texture-cache
-  // model only until every table line is resident, then charges the rest
-  // in closed form (fast_texture_bulk). Other geometries, and the loop
-  // kernel, lower through the shared walks (kernel_walks.h). The lowering
-  // is const: block bodies may run concurrently and only read encoder
-  // state.
-  void run_table_based_fast(simgpu::BlockCtx& block, coding::CodedBatch& batch,
-                            const EncodeCost& cost, std::size_t total_words,
-                            std::size_t threads, std::size_t blocks,
-                            const std::uint8_t* src,
-                            const std::uint8_t* coeffs, std::uint8_t* out,
-                            std::uint8_t sentinel) const;
-  // Charges the cooperative shared-table load (one barrier, like the
-  // interpreted load step) from table_load_.
-  void fast_load_tables(simgpu::BlockCtx& block) const;
-  void build_table_fast_profile(const std::uint8_t* src);
   void set_launch_label(const char* kernel);
   void unwatch_all();
 
@@ -150,15 +107,13 @@ class GpuEncoder {
   AlignedBuffer exp_table_words_;  // 8 interleaved word tables (kTable5)
 
   // Built in the constructor for the table schemes and valid for the
-  // encoder's lifetime (the accounting-domain segment never changes).
-  // table_fast_aligned_ says whether the geometry admits the profiled
-  // lowering (half-warps never straddle coded blocks), and so whether
-  // table_profile_ was built.
-  // table_load_ holds the counters of one block's cooperative table load
-  // (table_load_model), charged per block by both table lowerings.
-  TableFastProfile table_profile_;
+  // encoder's lifetime (the accounting-domain segment never changes):
+  // table_lookups_, when the geometry admits them (half-warps never
+  // straddle coded blocks), lets the encode walk charge table runs
+  // (kernel_walks.h); table_load_ holds the counters of one block's
+  // cooperative table load (table_load_model), charged per block.
+  std::optional<TableLookups> table_lookups_;
   simgpu::KernelMetrics table_load_;
-  bool table_fast_aligned_ = false;
 };
 
 }  // namespace extnc::gpu

@@ -9,8 +9,8 @@
 // builds them from a *payload class* (ModelAssumptions, a synthetic byte
 // function) with synthesize_segment / synthesize_batch and the host log
 // map, or takes a caller's own segment and batch. Aligned table
-// geometries charge their lookup steps from the segment's TableLookups,
-// the degrees the fast path's profile is summed from. The verification
+// geometries charge table runs from the segment's TableLookups, as the
+// fast path does. The verification
 // suite (tests/gpu/kernel_audit_test.cpp) holds every model bit-equal to
 // the interpreted engine's KernelMetrics, on class-synthesized and on
 // random inputs.

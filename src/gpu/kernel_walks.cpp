@@ -56,7 +56,7 @@ void fill_table_lookups(TableLookups& lk, std::size_t half,
         }
         lk.active[e] = static_cast<std::uint8_t>(live);
         if constexpr (tb4) {
-          lk.top[e] = top;
+          lk.row_top[i] = std::max(lk.row_top[i], top);
           continue;
         }
         // Residue r reads exp entry r + log_s; an empty group is degree 1.
@@ -87,13 +87,19 @@ TableLookups table_lookups(const simgpu::DeviceSpec& spec,
   const auto banks = static_cast<std::uint32_t>(spec.shared_banks);
   EXTNC_CHECK(scheme != EncodeScheme::kLoopBased && half >= 1 && half <= 16 &&
               (k / 4) % half == 0);
+  const bool tb0 = scheme == EncodeScheme::kTable0;
+  const bool tb4 = scheme == EncodeScheme::kTable4;
   TableLookups lk;
   lk.groups = (k / 4) / half;
+  lk.lanes = half;
   const std::size_t entries = n * lk.groups * 4;
+  // Every sum stays below entries * 32 (two steps of <= 16 lanes, each of
+  // degree <= 16, per entry).
+  EXTNC_CHECK(entries <= UINT32_MAX / 32);
   lk.active.resize(entries);
-  if (scheme == EncodeScheme::kTable0) lk.log_degree.resize(entries);
-  if (scheme == EncodeScheme::kTable4) {
-    lk.top.resize(entries);
+  if (tb0) lk.log_degree.resize(entries);
+  if (tb4) {
+    lk.row_top.resize(n);
   } else {
     lk.exp_degree.resize(entries);
   }
@@ -118,6 +124,23 @@ TableLookups table_lookups(const simgpu::DeviceSpec& spec,
     case EncodeScheme::kTable5:
       fill_table_lookups<EncodeScheme::kTable5>(lk, half, banks, src, n, k);
       break;
+  }
+
+  lk.sums.resize(entries + 1);
+  for (std::size_t e = 0; e < entries; ++e) {
+    TableLookups::Sums sum = lk.sums[e];
+    sum.live_lanes += lk.active[e];
+    if (tb0) {
+      sum.steps += 1;
+      sum.accesses += half;
+      for (auto& cycles : sum.cycles) cycles += lk.log_degree[e];
+    }
+    if (!tb4 && lk.active[e] != 0) {
+      sum.steps += 1;
+      sum.accesses += lk.active[e];
+      for (std::size_t r = 0; r < 4; ++r) sum.cycles[r] += lk.exp_degree[e][r];
+    }
+    lk.sums[e + 1] = sum;
   }
   return lk;
 }

@@ -33,7 +33,12 @@
 //   global_group(Region, addrs, count, access_bytes, load_bytes,
 //                store_bytes)
 //   shared_group(words, count)
-//   shared_degree(degree, count)   (a step whose degree is known)
+//   shared_degree(degree, count, times = 1)
+//       `times` steps whose degree is known
+//   lookups(TableLookups, begin, end, residue)
+//       the lookup steps of entries [begin, end) for a coefficient whose
+//       log is `residue` mod 4: tb0's log lookups, and the exp lookup of
+//       each entry with a live lane (shared-memory schemes)
 //   alu(deciops)
 //   texture_fetch(addr)
 //   texture_warm()                 (every bound table line resident)
@@ -74,6 +79,47 @@ enum class Region : std::size_t {
 };
 
 // ------------------------------------------------------------------------
+// Lookup structure of an aligned table-scheme encode: when half-warps
+// never straddle coded blocks, a half-warp's lookups for source row i and
+// byte b depend only on its word group g within the coded block and on its
+// one coefficient log_c. Adding 4t to log_c shifts every byte-table exp
+// lookup word by t, a uniform shift that keeps words distinct and permutes
+// banks, so a lookup step's serialization degree is a function of
+// (i, g, b, log_c mod 4); tb5's words all move by kReplicatedTables per
+// unit of log_c, so its degree does not depend on log_c at all. Evaluated
+// once per accounting-domain segment, these let the encode walk charge
+// lookup steps by table read instead of deduplicating their lanes. The
+// prefix sums make one source row's entries of a run of groups a
+// contiguous range, which BlockSink charges by subtraction and ModelSink
+// entry by entry.
+struct TableLookups {
+  std::size_t groups = 0;  // half-warp groups per coded block
+  std::size_t lanes = 0;   // lanes per group (the half-warp)
+  // Indexed by index(i, g, b).
+  std::vector<std::uint8_t> active;      // lanes whose source byte is live
+  std::vector<std::uint8_t> log_degree;  // tb0: the source bytes' log lookup
+  // Exp lookup degree by log_c % 4 (shared-memory schemes).
+  std::vector<std::array<std::uint8_t, 4>> exp_degree;
+  // What entries charge under a live coefficient, summed in index order:
+  // sums[e] covers entries [0, e). Their shared lookup steps are tb0's log
+  // lookup and, on the shared-memory schemes, the exp lookup of an entry
+  // with a live lane; tb4 fetches once per live lane instead.
+  struct Sums {
+    std::uint32_t live_lanes = 0;  // active
+    std::uint32_t steps = 0;       // shared lookup steps
+    std::uint32_t accesses = 0;    // their lane accesses
+    std::array<std::uint32_t, 4> cycles{};  // their degrees, by log_c % 4
+  };
+  std::vector<Sums> sums;
+  // tb4: largest live source byte of each row (0: none is live).
+  std::vector<std::uint8_t> row_top;
+
+  std::size_t index(std::size_t i, std::size_t g, std::size_t b) const {
+    return (i * groups + g) * 4 + b;
+  }
+};
+
+// ------------------------------------------------------------------------
 // Fast-path sink: BlockCtx's bulk accounting for one block.
 
 class BlockSink {
@@ -81,9 +127,12 @@ class BlockSink {
   explicit BlockSink(simgpu::BlockCtx& block) : block_(&block) {}
   BlockSink(const BlockSink&) = delete;
   BlockSink& operator=(const BlockSink&) = delete;
-  // Charges the scalar work and bulk texture fetches the walk accumulated.
+  // Charges the scalar work, known-degree shared steps and bulk texture
+  // fetches the walk accumulated.
   ~BlockSink() {
     block_->fast_alu_deciops(alu_);
+    block_->fast_shared_bulk(shared_accesses_, shared_events_,
+                             shared_cycles_);
     if (bulk_fetches_ > 0) block_->fast_texture_bulk(bulk_fetches_, 0);
   }
 
@@ -120,8 +169,19 @@ class BlockSink {
   void shared_group(const std::uintptr_t* words, std::size_t count) {
     block_->fast_shared_group(words, count);
   }
-  void shared_degree(std::uint64_t degree, std::size_t count) {
-    block_->fast_shared_bulk(count, 1, degree);
+  void shared_degree(std::uint64_t degree, std::size_t count,
+                     std::uint64_t times = 1) {
+    shared_accesses_ += count * times;
+    shared_events_ += times;
+    shared_cycles_ += degree * times;
+  }
+  void lookups(const TableLookups& lk, std::size_t begin, std::size_t end,
+               std::size_t residue) {
+    const TableLookups::Sums& first = lk.sums[begin];
+    const TableLookups::Sums& last = lk.sums[end];
+    shared_accesses_ += last.accesses - first.accesses;
+    shared_events_ += last.steps - first.steps;
+    shared_cycles_ += last.cycles[residue] - first.cycles[residue];
   }
   void alu(std::uint64_t deci) { alu_ += deci; }
   void texture_fetch(std::uintptr_t addr) {
@@ -141,6 +201,9 @@ class BlockSink {
  private:
   simgpu::BlockCtx* block_;
   std::uint64_t alu_ = 0;
+  std::uint64_t shared_accesses_ = 0;
+  std::uint64_t shared_events_ = 0;
+  std::uint64_t shared_cycles_ = 0;
   std::uint64_t bulk_fetches_ = 0;
   std::size_t missing_lines_ = 0;
 };
@@ -180,8 +243,22 @@ class ModelSink {
   void shared_group(const std::uintptr_t* words, std::size_t count) {
     seg_.add_shared_group(words, count);
   }
-  void shared_degree(std::uint64_t degree, std::size_t count) {
-    seg_.add_shared_group_degree(degree, count);
+  void shared_degree(std::uint64_t degree, std::size_t count,
+                     std::uint64_t times = 1) {
+    seg_.add_shared_group_degree(degree, count, times);
+  }
+  // Entry by entry, so degree_events keeps each step's degree.
+  void lookups(const TableLookups& lk, std::size_t begin, std::size_t end,
+               std::size_t residue) {
+    for (std::size_t e = begin; e < end; ++e) {
+      if (!lk.log_degree.empty()) {
+        seg_.add_shared_group_degree(lk.log_degree[e], lk.lanes);
+      }
+      if (!lk.exp_degree.empty() && lk.active[e] != 0) {
+        seg_.add_shared_group_degree(lk.exp_degree[e][residue],
+                                     lk.active[e]);
+      }
+    }
   }
   void alu(std::uint64_t deci) { seg_.add_alu_deciops(deci); }
   // tb4: a cold cache misses once per distinct table line per texture
@@ -329,36 +406,15 @@ void table_load_walk(Sink& sink, EncodeScheme scheme, std::size_t threads,
 // stride covers them in one pass). A half-warp may straddle coded blocks
 // (the recoder's aggregate rows, odd k); inside one coded block its
 // coefficient load is a broadcast and its source and store spans are
-// contiguous, which the exact span closed form charges. A loop-based
-// half-warp inside one coded block repeats the same charges for every
-// source row, so its n rows are charged as runs (global_span's `times`):
-// source row i + period starts at row i's offset within a coalescing
-// segment, so the spans of one alignment class cost the same.
-
-// Lookup structure of an aligned table-scheme encode: when half-warps
-// never straddle coded blocks, a half-warp's lookups for source row i and
-// byte b depend only on its word group g within the coded block and on its
-// one coefficient log_c. Adding 4t to log_c shifts every byte-table exp
-// lookup word by t, a uniform shift that keeps words distinct and permutes
-// banks, so a lookup step's serialization degree is a function of
-// (i, g, b, log_c mod 4); tb5's words all move by kReplicatedTables per
-// unit of log_c, so its degree does not depend on log_c at all. Evaluated once per
-// accounting-domain segment, these let the encode walk charge a lookup
-// step by table read instead of deduplicating its lanes, and they are what
-// the aligned fast path's TableFastProfile sums (gpu_encoder.h).
-struct TableLookups {
-  std::size_t groups = 0;  // half-warp groups per coded block
-  // Indexed by index(i, g, b).
-  std::vector<std::uint8_t> active;      // lanes whose source byte is live
-  std::vector<std::uint8_t> log_degree;  // tb0: the source bytes' log lookup
-  // Exp lookup degree by log_c % 4 (shared-memory schemes).
-  std::vector<std::array<std::uint8_t, 4>> exp_degree;
-  std::vector<std::uint8_t> top;  // tb4: largest live source byte
-
-  std::size_t index(std::size_t i, std::size_t g, std::size_t b) const {
-    return (i * groups + g) * 4 + b;
-  }
-};
+// contiguous, which the exact span closed form charges. Inside one coded
+// block the same charges repeat for every source row and half-warp group,
+// so they are charged as runs (global_span's `times`): spans at addresses
+// congruent modulo the coalescing segment cost the same, and a source row
+// (group) repeats its offset within a segment every segment / gcd(k,
+// segment) rows (segment / gcd(group bytes, segment) groups). The loop
+// kernel charges one half-warp's n rows at a time; a table scheme with
+// TableLookups charges a table run, the half-warps of one stride step
+// inside one coded block, at once.
 
 // Whether the table scheme's encode geometry admits TableLookups: (k / 4)
 // and the thread count are half-warp multiples, so every half-warp lies in
@@ -386,8 +442,8 @@ struct EncodeWalk {
   std::uintptr_t coeff_addr = 0;
   std::uintptr_t out_addr = 0;
   std::uintptr_t tex_addr = 0;  // tb4's exp texture
-  // The segment's lookups when table_lookups_apply holds; null evaluates
-  // every lookup step from its lanes.
+  // The segment's lookups when table_lookups_apply holds (the walk then
+  // charges table runs); null evaluates every lookup step from its lanes.
   const TableLookups* lookups = nullptr;
 };
 
@@ -403,6 +459,7 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
       scheme_uses_shifted_log(w.scheme) ? 0x00 : gf256::kLogZero;
   const std::uint8_t* log_table = gf256::tables().log;  // tb0's shared copy
   const std::size_t wpb = w.k / 4;
+  const std::size_t group_bytes = w.half * 4;
   const std::uint64_t word_deci =
       simgpu::KernelMetrics::deciops(cost.per_word);
   const std::uint64_t byte_deci =
@@ -425,16 +482,115 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
   std::array<std::size_t, 16> jv;
   std::array<std::size_t, 16> wv;
   std::array<std::uint8_t, 16> log_c;
-  // Loop runs: rows per alignment class, and the multiply loops' deci-ops
-  // summed over the coefficient row of coded block `sum_block`.
-  const std::uint64_t segment = sink.coalesce_bytes();
-  const std::size_t period = segment / std::gcd<std::uint64_t>(w.k, segment);
+  // Loop runs: the multiply loops' deci-ops summed over the coefficient row
+  // of coded block `sum_block`.
   std::size_t sum_block = static_cast<std::size_t>(-1);
   std::uint64_t row_sum = 0;
+
+  // Charges the equal spans at first + i * k + g * group_bytes for source
+  // rows i < rows and half-warp groups g < groups, one call per alignment
+  // class: row i + row_period, and group g + group_period, start at the
+  // same offset within a coalescing segment.
+  const std::uint64_t segment = sink.coalesce_bytes();
+  const std::size_t row_period =
+      segment / std::gcd<std::uint64_t>(w.k, segment);
+  const std::size_t group_period =
+      segment / std::gcd<std::uint64_t>(group_bytes, segment);
+  auto span_grid = [&](Region region, std::uintptr_t first, std::size_t rows,
+                       std::size_t groups, std::size_t span_bytes,
+                       std::uint64_t instrs, std::uint64_t load,
+                       std::uint64_t store) {
+    for (std::size_t r = 0; r < std::min(row_period, rows); ++r) {
+      const std::size_t rn = (rows - r + row_period - 1) / row_period;
+      for (std::size_t g = 0; g < std::min(group_period, groups); ++g) {
+        const std::size_t gn = (groups - g + group_period - 1) / group_period;
+        sink.global_span(region,
+                         first + (r + (rn - 1) * row_period) * w.k +
+                             (g + (gn - 1) * group_period) * group_bytes,
+                         span_bytes, instrs, load, store, rn * gn);
+      }
+    }
+  };
+
+  // One table run: `gc` half-warp groups of coded block j from group g0.
+  // Every half-warp of it reads the same n coefficients, so per source row
+  // only the sentinel test and one lookup-range call remain. tb4's fetches
+  // go through the texture cache lane-major, each lane cycling every row's
+  // coefficient, only until the unit is warm; the rest are charged in bulk
+  // at the run's highest row top, which is exact for footprints because
+  // every (coded block, row, group) lies in some run.
+  auto table_run = [&](std::size_t j, std::size_t g0, std::size_t gc) {
+    const TableLookups& lk = *w.lookups;
+    const std::uint8_t* coeff = w.coeffs + j * w.n;
+    const std::uint64_t steps = gc * w.n;  // (half-warp, source row) pairs
+    // The n coefficient broadcasts of each half-warp, one segment each;
+    // tb0 looks the coefficient up in its log table, a broadcast of degree
+    // 1.
+    sink.global_span(Region::kCoefficients, w.coeff_addr + j * w.n + w.n - 1,
+                     1, w.half, w.half, 0, steps);
+    if (tb0) sink.shared_degree(1, w.half, steps);
+    span_grid(Region::kSource, w.src_addr + g0 * group_bytes, w.n, gc,
+              group_bytes, w.half, group_bytes, 0);
+    // A zero coefficient skips its row's byte lookups. Row i's entries of
+    // the run are [begin, begin + run_entries).
+    std::uint64_t live_rows = 0;
+    std::uint64_t fetches = 0;  // tb4
+    std::size_t top = 0;        // tb4: largest log_c + row top
+    const std::size_t n = w.n;  // a local: the sink's stores may alias w
+    const std::size_t row_entries = lk.index(1, 0, 0);
+    const std::size_t run_entries = lk.index(0, gc, 0);
+    std::size_t begin = lk.index(0, g0, 0);
+    for (std::size_t i = 0; i < n; ++i, begin += row_entries) {
+      const std::uint8_t c = tb0 ? log_table[coeff[i]] : coeff[i];
+      if (c == sentinel) continue;
+      ++live_rows;
+      const std::size_t end = begin + run_entries;
+      if (!tb4) {
+        sink.lookups(lk, begin, end, c % 4);
+        continue;
+      }
+      fetches += lk.sums[end].live_lanes - lk.sums[begin].live_lanes;
+      if (lk.row_top[i] != 0) {
+        top = std::max<std::size_t>(top, c + lk.row_top[i]);
+      }
+    }
+    sink.alu(gc * w.half * (w.n * word_deci + live_rows * 4 * byte_deci));
+    if (fetches > 0) {
+      std::uint64_t replayed = 0;
+      for (std::size_t x = 0; x < gc * w.half && !sink.texture_warm(); ++x) {
+        const std::uint8_t* bytes = w.src + (g0 * w.half + x) * 4;
+        for (std::size_t i = 0; i < w.n && !sink.texture_warm(); ++i) {
+          if (coeff[i] == sentinel) continue;
+          for (std::size_t b = 0; b < 4 && !sink.texture_warm(); ++b) {
+            const std::uint8_t log_s = bytes[i * w.k + b];
+            if (log_s == sentinel) continue;
+            sink.texture_fetch(w.tex_addr + coeff[i] + log_s);
+            ++replayed;
+          }
+        }
+      }
+      if (fetches > replayed) {
+        sink.texture_bulk(fetches - replayed, w.tex_addr + top);
+      }
+    }
+    span_grid(Region::kOutput, w.out_addr + j * w.k + g0 * group_bytes, 1, gc,
+              group_bytes, w.half, 0, group_bytes);
+  };
 
   for (std::size_t base = block * w.threads; base < w.total_words;
        base += w.stride) {
     const std::size_t lanes_end = std::min(w.threads, w.total_words - base);
+    if (w.lookups != nullptr) {
+      // Whole groups that split only at coded-block boundaries.
+      for (std::size_t x = base; x < base + lanes_end;) {
+        const std::size_t word0 = x % wpb;
+        const std::size_t run = std::min(wpb - word0, base + lanes_end - x);
+        EXTNC_DASSERT(word0 % w.half == 0 && run % w.half == 0);
+        table_run(x / wpb, word0 / w.half, run / w.half);
+        x += run;
+      }
+      continue;
+    }
     for (std::size_t l0 = 0; l0 < lanes_end; l0 += w.half) {
       const std::size_t cnt = std::min(w.half, lanes_end - l0);
       jv[0] = (base + l0) / wpb;
@@ -478,13 +634,8 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
         sink.global_span(Region::kCoefficients,
                          w.coeff_addr + j * w.n + w.n - 1, 1, cnt, cnt, 0,
                          w.n);
-        const std::uintptr_t first = w.src_addr + wv[0] * 4;
-        for (std::size_t r = 0; r < std::min(period, w.n); ++r) {
-          const std::size_t rows = (w.n - r + period - 1) / period;
-          sink.global_span(Region::kSource,
-                           first + (r + (rows - 1) * period) * w.k, cnt * 4,
-                           cnt, cnt * 4, 0, rows);
-        }
+        span_grid(Region::kSource, w.src_addr + wv[0] * 4, w.n, 1, cnt * 4,
+                  cnt, cnt * 4, 0);
         sink.alu(cnt * (row_sum + word_deci));
         charge(Region::kOutput, w.out_addr, w.k, 4, 4, 0, cnt * 4);
         continue;
@@ -528,13 +679,8 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
                             log_c.begin(), log_c.begin() + cnt,
                             [&](std::uint8_t c) { return c != sentinel; }));
         if (active == 0) continue;
-        const TableLookups* lk = w.lookups;
-        const std::size_t e = lk != nullptr ? lk->index(i, wv[0] / w.half, 0)
-                                            : 0;
         for (std::size_t b = 0; b < 4; ++b) {
-          if (tb0 && lk != nullptr) {
-            sink.shared_degree(lk->log_degree[e + b], cnt);
-          } else if (tb0) {
+          if (tb0) {
             std::size_t k2 = 0;
             for (std::size_t l = 0; l < cnt; ++l) {
               if (log_c[l] == sentinel) continue;
@@ -543,20 +689,6 @@ void encode_block_walk(Sink& sink, EncodeWalk w, std::size_t block) {
             sink.shared_group(words.data(), k2);
           }
           sink.alu(active * byte_deci);
-          if (lk != nullptr) {
-            // One coded block: every lane shares log_c[0].
-            EXTNC_DASSERT(one_block && wv[0] % w.half == 0);
-            const std::size_t live = lk->active[e + b];
-            if (live == 0) continue;
-            if (!tb4) {
-              sink.shared_degree(lk->exp_degree[e + b][log_c[0] % 4], live);
-              continue;
-            }
-            if (sink.texture_warm()) {
-              sink.texture_bulk(live, w.tex_addr + log_c[0] + lk->top[e + b]);
-              continue;
-            }
-          }
           std::size_t k2 = 0;
           for (std::size_t l = 0; l < cnt; ++l) {
             if (log_c[l] == sentinel) continue;

@@ -1,6 +1,6 @@
 // Shared-memory layout of the table-based encode kernels (Sec. 5.1), in
 // one place so the kernels (gpu_encoder.cpp), the static kernel models
-// (kernel_audit.cpp) and the fast-path conflict profiles all index the
+// (kernel_audit.cpp) and the encode walk's TableLookups all index the
 // same bytes. A layout change here changes every consumer together — the
 // static-vs-dynamic equivalence tests then hold them to the same numbers.
 #pragma once

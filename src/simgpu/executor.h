@@ -234,11 +234,11 @@ class BlockCtx {
   // uses the same distinct-words-per-bank rule as flush_half_warp.
   void fast_shared_group(const std::uintptr_t* words, std::size_t count);
 
-  // Closed-form bulk accounting for profiled shared access steps: `events`
-  // groups totalling `accesses` lane accesses and `cycles` serialized
-  // cycles, with the degrees pre-evaluated per group class (the table-
-  // scheme conflict profiles, gpu/kernel_audit.h derivation). Each access
-  // is one memory instruction, as in fast_shared_group.
+  // Closed-form bulk accounting for shared access steps whose degrees are
+  // known: `events` groups totalling `accesses` lane accesses and `cycles`
+  // serialized cycles (the table schemes' lookup steps, read from their
+  // TableLookups in gpu/kernel_walks.h). Each access is one memory
+  // instruction, as in fast_shared_group.
   void fast_shared_bulk(std::uint64_t accesses, std::uint64_t events,
                         std::uint64_t cycles) {
     metrics_->shared_accesses += accesses;
@@ -247,10 +247,11 @@ class BlockCtx {
     metrics_->alu_deciops += accesses * 10;
   }
 
-  // Closed-form bulk accounting for profiled global access steps:
+  // Closed-form bulk accounting for global access steps:
   // `transactions` pre-deduplicated coalescing transactions across `instrs`
   // memory instructions. Only valid when the caller evaluated the span /
-  // group dedup itself (cached per group class or via the static models).
+  // group dedup itself (the accounting walks' span closed form, per
+  // alignment class).
   void fast_global_bulk(std::uint64_t transactions, std::uint64_t instrs,
                         std::uint64_t load_bytes, std::uint64_t store_bytes) {
     metrics_->global_transactions += transactions;
