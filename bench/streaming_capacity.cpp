@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     table.add_row({scheme_name(scheme), TablePrinter::num(rate),
                    std::to_string(peers),
                    std::to_string(net::coded_blocks_per_segment(peers, config)),
-                   TablePrinter::num(net::nics_saturated(rate, config), 2)});
+                   TablePrinter::num(net::nics_saturated(rate), 2)});
   }
   print_table(table, csv);
 

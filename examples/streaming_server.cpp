@@ -69,7 +69,7 @@ int main() {
               net::coded_blocks_per_segment(peers, config));
   std::printf("GbE NICs saturated     : %.2f (paper: \"two Gigabit Ethernet "
               "interfaces\")\n",
-              net::nics_saturated(rate, config));
+              net::nics_saturated(rate));
   std::printf("Segments in 1 GB VRAM  : %zu\n",
               net::segments_in_memory(1024ull << 20, config));
   return decoded_ok == num_peers ? 0 : 1;

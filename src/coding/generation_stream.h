@@ -37,8 +37,8 @@ class GenerationEncoder {
   // storage the encoder owns.
   //
   // With `systematic`, emission i < n of each generation is the unit row
-  // e_i (its payload is source block i); later emissions are coded. This
-  // is SystematicEncoder's rule (coding/systematic.h), its reference.
+  // e_i (its payload is source block i); later emissions are coded. The
+  // tests check this rule against a copy-based reference encoder.
   GenerationEncoder(Params params, std::span<const std::uint8_t> content,
                     bool systematic = false,
                     WireFormat wire_format = WireFormat::kV2);

@@ -133,15 +133,6 @@ KernelMetrics scaled_encode_metrics(const simgpu::DeviceSpec& spec,
   m.texture_misses =
       static_cast<std::uint64_t>(per_word.texture_misses * words);
   m.kernel_launches = 1;
-  // Launch geometry of the target workload.
-  if (scheme == EncodeScheme::kLoopBased) {
-    m.threads_per_block = 256;
-    m.blocks = static_cast<std::size_t>(words) / 256 + 1;
-  } else {
-    m.threads_per_block = 256;
-    m.blocks = std::min<std::size_t>(
-        spec.num_sms, static_cast<std::size_t>(words) / 256 + 1);
-  }
 
   if (include_preprocessing && scheme_is_preprocessed(scheme)) {
     // Log-domain transforms: every source segment (n*k bytes each) once
@@ -156,16 +147,15 @@ KernelMetrics scaled_encode_metrics(const simgpu::DeviceSpec& spec,
     pre.global_store_bytes = static_cast<std::uint64_t>(pre_bytes);
     pre.global_transactions = static_cast<std::uint64_t>(2 * pre_bytes / 64);
     pre.kernel_launches = 2;
-    pre.blocks = spec.num_sms;
-    pre.threads_per_block = 256;
     m.merge(pre);
-    m.kernel_launches = 3;
-    m.blocks = (scheme == EncodeScheme::kLoopBased)
-                   ? static_cast<std::size_t>(words) / 256 + 1
-                   : std::min<std::size_t>(
-                         spec.num_sms,
-                         static_cast<std::size_t>(words) / 256 + 1);
   }
+  // Launch geometry of the target workload's encode kernel, set after the
+  // merge so the preprocessing launches cannot overwrite it.
+  const std::size_t blocks = static_cast<std::size_t>(words) / 256 + 1;
+  m.threads_per_block = 256;
+  m.blocks = scheme == EncodeScheme::kLoopBased
+                 ? blocks
+                 : std::min<std::size_t>(spec.num_sms, blocks);
   return m;
 }
 

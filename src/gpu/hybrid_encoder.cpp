@@ -1,13 +1,10 @@
 #include "gpu/hybrid_encoder.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "cpu/xeon_model.h"
 #include "gpu/gpu_model.h"
-#include "simgpu/fault_injector.h"
 #include "util/assert.h"
-#include "util/metrics_registry.h"
 
 namespace extnc::gpu {
 
@@ -29,7 +26,6 @@ HybridEncoder::HybridEncoder(const simgpu::DeviceSpec& spec,
 }
 
 std::size_t HybridEncoder::gpu_blocks(std::size_t batch_size) const {
-  if (gpu_disabled_) return 0;
   return std::min(batch_size,
                   static_cast<std::size_t>(
                       static_cast<double>(batch_size) * gpu_share_ + 0.5));
@@ -47,21 +43,7 @@ void HybridEncoder::encode_into(coding::CodedBatch& batch) {
       std::copy(batch.coefficients(j).begin(), batch.coefficients(j).end(),
                 gpu_part.coefficients(j).begin());
     }
-    try {
-      gpu_encoder_.encode_into(gpu_part);
-    } catch (const simgpu::DeviceError& error) {
-      // The GPU half failed mid-batch. Re-encode the *whole* batch on the
-      // CPU — same coefficients, bit-exact output — and on a sticky device
-      // loss rebalance the split to CPU-only so later batches don't keep
-      // hitting the dead device.
-      if (error.fault() == simgpu::FaultClass::kDeviceLost) {
-        gpu_disabled_ = true;
-        metrics::count("gpu.hybrid.rebalances");
-      }
-      metrics::count("gpu.hybrid.device_faults");
-      cpu_encoder_.encode_into(batch);
-      return;
-    }
+    gpu_encoder_.encode_into(gpu_part);
     for (std::size_t j = 0; j < gpu_count; ++j) {
       std::copy(gpu_part.payload(j).begin(), gpu_part.payload(j).end(),
                 batch.payload(j).begin());

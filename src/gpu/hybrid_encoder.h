@@ -7,6 +7,10 @@
 // bit-exact), the tail to the real multi-threaded CPU encoder. The split
 // ratio defaults to the modeled GPU:CPU bandwidth ratio so both sides
 // finish together; any ratio produces identical bytes.
+//
+// Device faults are not handled here: a simgpu::DeviceError from the GPU
+// half reaches the caller. gpu::ResilientLauncher is the library's one
+// GPU fault policy.
 #pragma once
 
 #include <cstddef>
@@ -36,21 +40,8 @@ class HybridEncoder {
   void encode_into(coding::CodedBatch& batch);
   coding::CodedBatch encode_batch(std::size_t count, Rng& rng);
 
-  // How many blocks of an m-block batch land on the GPU (0 once the GPU
-  // half has been disabled by a device fault).
+  // How many blocks of an m-block batch land on the GPU.
   std::size_t gpu_blocks(std::size_t batch_size) const;
-
-  // Subject the GPU half to a fault plan. If the GPU fails mid-batch
-  // (simgpu::DeviceError), encode_into re-encodes the whole batch on the
-  // CPU — output stays bit-exact — and, for a sticky device loss,
-  // rebalances permanently to a CPU-only split.
-  void attach_fault_injector(simgpu::FaultInjector* injector) {
-    gpu_encoder_.launcher().set_fault_injector(injector);
-  }
-  // True once a device loss has rebalanced the split to CPU-only.
-  bool gpu_disabled() const { return gpu_disabled_; }
-  // Re-enable the GPU half (after the injector's device was restored).
-  void restore_gpu() { gpu_disabled_ = false; }
 
   const GpuEncoder& gpu() const { return gpu_encoder_; }
   const cpu::CpuEncoder& cpu() const { return cpu_encoder_; }
@@ -72,7 +63,6 @@ class HybridEncoder {
   GpuEncoder gpu_encoder_;
   cpu::CpuEncoder cpu_encoder_;
   double gpu_share_;
-  bool gpu_disabled_ = false;
 };
 
 }  // namespace extnc::gpu

@@ -17,30 +17,22 @@ using simgpu::KernelMetrics;
 using simgpu::SegmentModel;
 using simgpu::StaticKernelModel;
 
-namespace {
-
 // ------------------------------------------------------------------------
 // Payload classes.
 
-// The uniform value must survive every scheme's accounting map; assert the
-// documented [1, 254] envelope once per entry point.
-void check_assumptions(const ModelAssumptions& a) {
-  EXTNC_CHECK(a.payload_value >= 1 && a.payload_value <= 254);
-  EXTNC_CHECK(a.coeff_value >= 1 && a.coeff_value <= 254);
-}
+// The class bytes must survive every scheme's accounting map.
+static_assert(kClassPayloadByte >= 1 && kClassPayloadByte <= 254);
+static_assert(kClassCoeffByte >= 1 && kClassCoeffByte <= 254);
 
-}  // namespace
-
-int payload_class_byte(PayloadClass cls, const ModelAssumptions& assume,
-                       std::size_t pos) {
+int payload_class_byte(PayloadClass cls, std::size_t pos) {
   switch (cls) {
     case PayloadClass::kUniform:
-      return assume.payload_value;
+      return kClassPayloadByte;
     case PayloadClass::kStride64:
       // 1 + 64 * (word % 4): all four values in [1, 193], 64 apart.
       return 1 + 64 * static_cast<int>((pos / 4) % 4);
     case PayloadClass::kSparse:
-      return pos % 3 == 0 ? -1 : assume.payload_value;
+      return pos % 3 == 0 ? -1 : kClassPayloadByte;
   }
   return -1;
 }
@@ -50,7 +42,7 @@ int coeff_class_byte(const ModelAssumptions& assume, std::size_t i) {
       i % assume.coeff_zero_every == assume.coeff_zero_every - 1) {
     return -1;
   }
-  return assume.coeff_value;
+  return kClassCoeffByte;
 }
 
 namespace {
@@ -144,13 +136,12 @@ std::vector<std::uint8_t> accounting_bytes(EncodeScheme scheme,
 coding::Segment synthesize_segment(EncodeScheme scheme,
                                    const coding::Params& params,
                                    const ModelAssumptions& assume) {
-  check_assumptions(assume);
   coding::Segment segment(params);
   std::uint8_t* data = segment.data();
   const std::size_t bytes = params.segment_bytes();
   for (std::size_t pos = 0; pos < bytes; ++pos) {
     data[pos] = natural_from_class(
-        scheme, payload_class_byte(assume.payload_class, assume, pos));
+        scheme, payload_class_byte(assume.payload_class, pos));
   }
   return segment;
 }
@@ -159,7 +150,6 @@ coding::CodedBatch synthesize_batch(EncodeScheme scheme,
                                     const coding::Params& params,
                                     std::size_t count,
                                     const ModelAssumptions& assume) {
-  check_assumptions(assume);
   coding::CodedBatch batch(params, count);
   for (std::size_t j = 0; j < count; ++j) {
     auto row = batch.coefficients(j);
@@ -200,7 +190,7 @@ StaticKernelModel encode_model(const simgpu::DeviceSpec& spec,
                                EncodeScheme scheme,
                                const coding::Segment& segment,
                                const coding::CodedBatch& batch,
-                               bool cold_texture, bool lane_blocked_load) {
+                               bool lane_blocked_load) {
   const coding::Params& p = segment.params();
   const std::size_t count = batch.count();
   EXTNC_CHECK(batch.params() == p);
@@ -263,7 +253,7 @@ StaticKernelModel encode_model(const simgpu::DeviceSpec& spec,
     encode_block_walk(enc, walk, b);
   }
   exp_extent = std::max(exp_extent, enc.extent(Region::kExpTable));
-  model.segments.push_back(enc.finish(threads, cold_texture));
+  model.segments.push_back(enc.finish(threads));
 
   // Registered buffer sizes come from the geometry; needed extents from
   // the walk.
@@ -301,7 +291,7 @@ StaticKernelModel class_encode_model(const simgpu::DeviceSpec& spec,
   return encode_model(spec, scheme,
                       synthesize_segment(scheme, params, assume),
                       synthesize_batch(scheme, params, count, assume),
-                      assume.cold_texture, lane_blocked_load);
+                      lane_blocked_load);
 }
 
 }  // namespace
@@ -318,7 +308,7 @@ StaticKernelModel encode_kernel_model(const simgpu::DeviceSpec& spec,
                                       EncodeScheme scheme,
                                       const coding::Segment& segment,
                                       const coding::CodedBatch& batch) {
-  return encode_model(spec, scheme, segment, batch, true, false);
+  return encode_model(spec, scheme, segment, batch, false);
 }
 
 StaticKernelModel recode_kernel_model(const simgpu::DeviceSpec& spec,

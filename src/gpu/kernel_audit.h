@@ -60,27 +60,27 @@ enum class PayloadClass {
   kSparse,
 };
 
+// Accounting-domain byte for the kUniform/kSparse payload and for every
+// coefficient row. Each must be a value every scheme's accounting map can
+// produce: in [1, 254] (plain log covers [0, 254] with 0xff the zero
+// sentinel; shifted log covers [1, 255] with 0x00 the sentinel).
+inline constexpr std::uint8_t kClassPayloadByte = 0x35;
+inline constexpr std::uint8_t kClassCoeffByte = 0x1d;
+
+// Every model also assumes the texture caches hold no table lines at
+// launch (a freshly constructed launcher); the tb4 miss closed form
+// depends on this.
 struct ModelAssumptions {
   PayloadClass payload_class = PayloadClass::kUniform;
-  // Accounting-domain byte for the kUniform/kSparse payload and for every
-  // coefficient row. Must be a value every scheme's accounting map can
-  // produce: in [1, 254] (plain log covers [0, 254] with 0xff the zero
-  // sentinel; shifted log covers [1, 255] with 0x00 the sentinel).
-  std::uint8_t payload_value = 0x35;
-  std::uint8_t coeff_value = 0x1d;
   // Every Nth coefficient row (i % N == N - 1) is zero, exercising the
   // per-word sentinel skip. 0 = all rows nonzero.
   std::size_t coeff_zero_every = 0;
-  // Texture caches hold no table lines at launch (a freshly constructed
-  // launcher). The tb4 miss closed form depends on this.
-  bool cold_texture = true;
 };
 
 // The accounting-domain byte the class assigns to payload position `pos`
 // (byte index within the accounting segment), or -1 for a zero natural
 // byte (the scheme's sentinel). Exposed for tests.
-int payload_class_byte(PayloadClass cls, const ModelAssumptions& assume,
-                       std::size_t pos);
+int payload_class_byte(PayloadClass cls, std::size_t pos);
 // The accounting-domain coefficient byte for row i (same for every coded
 // block), or -1 for a zero row.
 int coeff_class_byte(const ModelAssumptions& assume, std::size_t i);

@@ -302,11 +302,8 @@ class ModelSink {
   std::size_t extent(Region region) const {
     return extents_[static_cast<std::size_t>(region)];
   }
-  simgpu::SegmentModel finish(std::size_t step_width,
-                              bool cold_texture = true) {
-    if (fetches_ > 0) {
-      seg_.add_texture_fetches(fetches_, cold_texture ? first_touches_ : 0);
-    }
+  simgpu::SegmentModel finish(std::size_t step_width) {
+    if (fetches_ > 0) seg_.add_texture_fetches(fetches_, first_touches_);
     return seg_.finish(step_width, barriers_);
   }
 

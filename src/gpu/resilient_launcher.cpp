@@ -1,13 +1,9 @@
 #include "gpu/resilient_launcher.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "cpu/multi_segment_decoder.h"
-#include "gpu/gpu_multiseg_decoder.h"
 #include "simgpu/profiler.h"
 #include "util/assert.h"
-#include "util/checksum.h"
 #include "util/metrics_registry.h"
 
 namespace extnc::gpu {
@@ -32,13 +28,6 @@ class RegionWatch {
  private:
   simgpu::FaultInjector* injector_;
 };
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
 
 }  // namespace
 
@@ -276,233 +265,6 @@ bool ResilientEncoder::verify_batch(const coding::CodedBatch& batch) {
     // spot-check random rows.
     const std::size_t j = samples == count ? s : sample_rng_.next_below(count);
     reference_.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (!std::ranges::equal(scratch, batch.payload(j))) return false;
-  }
-  return true;
-}
-
-// --- DecodeCheckpoint ------------------------------------------------------
-
-namespace {
-constexpr std::uint8_t kCheckpointMagic[4] = {'X', 'N', 'C', 'K'};
-constexpr std::uint32_t kCheckpointVersion = 1;
-constexpr std::size_t kCheckpointHeader = 4 + 4 * 4;  // magic + 4 u32 fields
-}  // namespace
-
-std::size_t DecodeCheckpoint::completed() const {
-  return static_cast<std::size_t>(
-      std::count(done.begin(), done.end(), std::uint8_t{1}));
-}
-
-bool DecodeCheckpoint::complete() const {
-  return !done.empty() && completed() == done.size();
-}
-
-std::vector<std::uint8_t> DecodeCheckpoint::serialize() const {
-  EXTNC_CHECK(done.size() == decoded.size());
-  const std::size_t total = kCheckpointHeader + done.size() +
-                            completed() * params.segment_bytes() + 4;
-  std::vector<std::uint8_t> out(total);
-  std::uint8_t* cursor = out.data();
-  auto write = [&cursor](const std::uint8_t* data, std::size_t size) {
-    if (size > 0) std::memcpy(cursor, data, size);
-    cursor += size;
-  };
-  auto write_u32 = [&write](std::uint32_t v) {
-    const std::uint8_t le[4] = {
-        static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
-        static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
-    write(le, 4);
-  };
-  write(kCheckpointMagic, 4);
-  write_u32(kCheckpointVersion);
-  write_u32(static_cast<std::uint32_t>(params.n));
-  write_u32(static_cast<std::uint32_t>(params.k));
-  write_u32(static_cast<std::uint32_t>(done.size()));
-  write(done.data(), done.size());
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    if (done[i] == 0) continue;
-    EXTNC_CHECK(decoded[i].params() == params);
-    write(decoded[i].bytes().data(), decoded[i].bytes().size());
-  }
-  EXTNC_CHECK(cursor == out.data() + total - 4);
-  write_u32(crc32c(std::span(out.data(), total - 4)));
-  return out;
-}
-
-std::optional<DecodeCheckpoint> DecodeCheckpoint::deserialize(
-    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kCheckpointHeader + 4) return std::nullopt;
-  if (std::memcmp(bytes.data(), kCheckpointMagic, 4) != 0) return std::nullopt;
-  if (crc32c(bytes.first(bytes.size() - 4)) !=
-      get_u32(bytes.data() + bytes.size() - 4)) {
-    return std::nullopt;
-  }
-  if (get_u32(bytes.data() + 4) != kCheckpointVersion) return std::nullopt;
-
-  DecodeCheckpoint ck;
-  ck.params.n = get_u32(bytes.data() + 8);
-  ck.params.k = get_u32(bytes.data() + 12);
-  const std::size_t segments = get_u32(bytes.data() + 16);
-  if (ck.params.n == 0 || ck.params.k == 0) return std::nullopt;
-  if (bytes.size() < kCheckpointHeader + segments + 4) return std::nullopt;
-
-  const std::uint8_t* flags = bytes.data() + kCheckpointHeader;
-  std::size_t completed = 0;
-  for (std::size_t i = 0; i < segments; ++i) {
-    if (flags[i] > 1) return std::nullopt;
-    completed += flags[i];
-  }
-  const std::size_t expected = kCheckpointHeader + segments +
-                               completed * ck.params.segment_bytes() + 4;
-  if (bytes.size() != expected) return std::nullopt;
-
-  ck.done.assign(flags, flags + segments);
-  ck.decoded.assign(segments, coding::Segment{});
-  const std::uint8_t* payload = flags + segments;
-  for (std::size_t i = 0; i < segments; ++i) {
-    if (ck.done[i] == 0) continue;
-    ck.decoded[i] = coding::Segment::from_bytes(
-        ck.params, std::span(payload, ck.params.segment_bytes()));
-    payload += ck.params.segment_bytes();
-  }
-  return ck;
-}
-
-// --- ResilientMultiSegDecoder ----------------------------------------------
-
-ResilientMultiSegDecoder::ResilientMultiSegDecoder(
-    const simgpu::DeviceSpec& spec, coding::Params params, ThreadPool& pool,
-    ResilientLauncher& supervisor, simgpu::Profiler* profiler)
-    : params_(params),
-      spec_(&spec),
-      pool_(&pool),
-      supervisor_(&supervisor),
-      profiler_(profiler),
-      sample_rng_(0xdec0deULL) {
-  params_.validate();
-}
-
-std::vector<coding::Segment> ResilientMultiSegDecoder::decode_all(
-    const std::vector<coding::CodedBatch>& batches,
-    DecodeCheckpoint* checkpoint, bool stop_on_device_loss) {
-  for (const auto& batch : batches) {
-    EXTNC_CHECK(batch.params() == params_);
-    EXTNC_CHECK(batch.count() == params_.n);
-  }
-  last_ = MultiSegReport{};
-  last_.segments = batches.size();
-  std::vector<coding::Segment> out(batches.size());
-  if (batches.empty()) {
-    last_.complete = true;
-    return out;
-  }
-
-  DecodeCheckpoint local;
-  DecodeCheckpoint& ck = checkpoint != nullptr ? *checkpoint : local;
-  if (ck.done.empty()) {
-    ck.params = params_;
-    ck.done.assign(batches.size(), 0);
-    ck.decoded.assign(batches.size(), coding::Segment{});
-  } else {
-    EXTNC_CHECK(ck.params == params_);
-    EXTNC_CHECK(ck.done.size() == batches.size());
-  }
-
-  simgpu::FaultInjector* injector = supervisor_->injector();
-  // Monotonic per-decode attempt clock: each GPU attempt adds its own
-  // modeled duration, so the supervisor's before/after delta is exactly
-  // that attempt's device time (the outer launcher and the stage-2
-  // multiplier encoders' launchers all share the injector's device
-  // timeline when one is attached).
-  double clock_accum = 0;
-
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    if (ck.done[i] != 0) {
-      out[i] = ck.decoded[i];
-      ++last_.from_checkpoint;
-      continue;
-    }
-    if (stop_on_device_loss && injector != nullptr &&
-        injector->device_lost()) {
-      last_.stopped_on_device_loss = true;
-      return out;
-    }
-
-    const coding::CodedBatch& batch = batches[i];
-    auto cpu_decode = [this, &batch, &out, i] {
-      cpu::MultiSegmentDecoder cpu_decoder(params_, *pool_);
-      auto segments =
-          cpu_decoder.decode_all(std::vector<coding::CodedBatch>{batch});
-      out[i] = std::move(segments[0]);
-    };
-
-    SupervisedOp op;
-    op.label = "multiseg_decode";
-    op.gpu = [this, injector, &batch, &out, &clock_accum, i] {
-      // A fresh decoder per attempt: decode state cannot be poisoned by a
-      // previous faulted attempt. Device identity (fault plan, modeled
-      // clock, sticky lost state) lives in the injector, not the decoder.
-      GpuMultiSegmentDecoder decoder(*spec_, params_);
-      if (profiler_ != nullptr) decoder.attach_profiler(profiler_);
-      supervisor_->adopt(decoder.launcher());
-      const double start_s =
-          injector != nullptr ? injector->observed_seconds() : 0.0;
-      auto segments =
-          decoder.decode_all(std::vector<coding::CodedBatch>{batch});
-      clock_accum += injector != nullptr
-                         ? injector->observed_seconds() - start_s
-                         : decoder.launcher().elapsed_seconds();
-      out[i] = std::move(segments[0]);
-      if (injector != nullptr && injector->pending_damage() > 0) {
-        // Damaging faults fired inside the decode (the supervisor cannot
-        // watch the decoder's internal buffers); land the damage on the
-        // decoded output, where the verifier can catch it.
-        injector->apply_pending_damage(out[i].bytes());
-      }
-    };
-    op.gpu_clock = [&clock_accum] { return clock_accum; };
-    op.verify = [this, &batch, &out, i] {
-      return verify_segment(batch, out[i]);
-    };
-    if (!stop_on_device_loss) op.cpu = cpu_decode;
-
-    const OperationReport report = supervisor_->run(op);
-    if (report.path == ComputePath::kGpu) {
-      ++last_.gpu_segments;
-    } else if (report.path == ComputePath::kCpuFallback) {
-      ++last_.cpu_segments;
-    } else {
-      // kFailed: fallback was left unwired for stop_on_device_loss mode.
-      if (report.device_lost) {
-        last_.stopped_on_device_loss = true;
-        return out;  // progress up to segment i is in the checkpoint
-      }
-      // Transient faults exhausted the retry budget; stop mode only stops
-      // for device loss, so decode this segment on the CPU.
-      cpu_decode();
-      ++last_.cpu_segments;
-    }
-    ck.done[i] = 1;
-    ck.decoded[i] = out[i];
-  }
-  last_.complete = true;
-  return out;
-}
-
-bool ResilientMultiSegDecoder::verify_segment(const coding::CodedBatch& batch,
-                                              const coding::Segment& segment) {
-  // Identity check: the decoded segment, re-encoded with a received row's
-  // coefficients, must reproduce that row's payload byte-for-byte. Dense
-  // rows mix every source block, so corruption anywhere in the segment is
-  // visible from any sampled row.
-  coding::Encoder reference(segment);
-  const std::size_t n = params_.n;
-  const std::size_t samples = std::min(supervisor_->config().verify_sample, n);
-  std::vector<std::uint8_t> scratch(params_.k);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const std::size_t j = samples == n ? s : sample_rng_.next_below(n);
-    reference.encode_with_coefficients(batch.coefficients(j), scratch);
     if (!std::ranges::equal(scratch, batch.payload(j))) return false;
   }
   return true;

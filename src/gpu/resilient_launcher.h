@@ -13,9 +13,13 @@
 //              seconds; nothing sleeps for real).
 //   degrades — a per-device circuit breaker opens after repeated failures
 //              or on device loss, after which operations go straight to
-//              the CPU implementations (cpu::CpuTableEncoder,
-//              cpu::MultiSegmentDecoder) and the run completes bit-exact,
-//              just slower — the graceful-degradation contract.
+//              the operation's CPU implementation (cpu::CpuTableEncoder
+//              for encodes) and the run completes bit-exact, just slower —
+//              the graceful-degradation contract.
+//
+// This is the library's one GPU fault policy: ResilientEncoder, the seed
+// bridge (ResilientSeed) and serve::FleetScheduler route device faults
+// through it.
 //
 // Everything is counted in the metrics registry under "gpu.resilient.*"
 // and, when a profiler is attached, marked on the trace timeline under
@@ -25,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -71,9 +74,8 @@ struct SupervisorConfig {
   std::string metric_prefix = "gpu.resilient";
 };
 
-// kFailed only occurs when an op has no CPU fallback wired (the
-// stop-on-device-loss decode mode); supervised ops with a fallback always
-// end in kGpu or kCpuFallback.
+// kFailed only occurs when an op has no CPU fallback wired; supervised ops
+// with a fallback always end in kGpu or kCpuFallback.
 enum class ComputePath { kGpu, kCpuFallback, kFailed };
 
 // What happened to one supervised operation.
@@ -216,82 +218,6 @@ class ResilientEncoder {
   ResilientLauncher* supervisor_;
   Rng sample_rng_;
   OperationReport last_;
-};
-
-// Serializable snapshot of a multi-segment decode in progress: which
-// segments are already decoded and their recovered bytes. Lets a decode
-// that lost its device resume — on the CPU or on a recovered device —
-// without redoing completed segments.
-//
-// Wire format (all integers little-endian):
-//   "XNCK" | u32 version=1 | u32 n | u32 k | u32 segments |
-//   segments x u8 done flags | n*k raw bytes per done segment (in index
-//   order) | u32 CRC32C over everything before it.
-struct DecodeCheckpoint {
-  coding::Params params{};
-  std::vector<std::uint8_t> done;        // 1 = segment decoded
-  std::vector<coding::Segment> decoded;  // decoded[i] valid iff done[i]
-
-  std::size_t segments() const { return done.size(); }
-  std::size_t completed() const;
-  bool complete() const;
-
-  std::vector<std::uint8_t> serialize() const;
-  // nullopt on bad magic/version/size or CRC mismatch.
-  static std::optional<DecodeCheckpoint> deserialize(
-      std::span<const std::uint8_t> bytes);
-};
-
-// Multi-segment decode report (per decode_all call).
-struct MultiSegReport {
-  std::size_t segments = 0;
-  std::size_t from_checkpoint = 0;  // restored, not recomputed
-  std::size_t gpu_segments = 0;
-  std::size_t cpu_segments = 0;
-  bool stopped_on_device_loss = false;
-  bool complete = false;
-};
-
-// Supervised multi-segment decoder. Decodes segment-by-segment (rather
-// than one batched GpuMultiSegmentDecoder call) so progress is
-// checkpointable: after every segment the checkpoint is updated, and a
-// device loss can either stop the decode (caller persists the checkpoint
-// and resumes later) or degrade the remaining segments to
-// cpu::MultiSegmentDecoder on the spot. Each decoded segment is verified
-// by re-encoding sampled rows and comparing CRC32C against the input
-// coded payloads.
-class ResilientMultiSegDecoder {
- public:
-  ResilientMultiSegDecoder(const simgpu::DeviceSpec& spec,
-                           coding::Params params, ThreadPool& pool,
-                           ResilientLauncher& supervisor,
-                           simgpu::Profiler* profiler = nullptr);
-
-  // Each batch: exactly n independent coded blocks of one segment. With a
-  // checkpoint, segments already marked done are restored (never
-  // recomputed) and newly completed segments are recorded into it. With
-  // stop_on_device_loss, a device loss returns partial results (the
-  // checkpoint holds the progress); otherwise remaining segments fall back
-  // to the CPU and the decode completes.
-  std::vector<coding::Segment> decode_all(
-      const std::vector<coding::CodedBatch>& batches,
-      DecodeCheckpoint* checkpoint = nullptr,
-      bool stop_on_device_loss = false);
-
-  const MultiSegReport& last_report() const { return last_; }
-  const coding::Params& params() const { return params_; }
-
- private:
-  bool verify_segment(const coding::CodedBatch& batch,
-                      const coding::Segment& segment);
-
-  coding::Params params_;
-  const simgpu::DeviceSpec* spec_;
-  ThreadPool* pool_;
-  ResilientLauncher* supervisor_;
-  simgpu::Profiler* profiler_;
-  Rng sample_rng_;
-  MultiSegReport last_;
 };
 
 // Bridge between the supervision layer and the net simulations, which do

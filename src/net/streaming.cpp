@@ -16,12 +16,12 @@ std::size_t peers_by_coding_rate(double coding_mb_per_s,
 }
 
 std::size_t peers_by_nic(const StreamConfig& config, std::size_t nics) {
-  const double bits_per_s = config.nic_gbps * 1e9 * static_cast<double>(nics);
+  const double bits_per_s = kNicGbps * 1e9 * static_cast<double>(nics);
   return static_cast<std::size_t>(bits_per_s / (config.stream_kbps * 1000.0));
 }
 
-double nics_saturated(double coding_mb_per_s, const StreamConfig& config) {
-  return coding_mb_per_s * 1e6 * 8 / (config.nic_gbps * 1e9);
+double nics_saturated(double coding_mb_per_s) {
+  return coding_mb_per_s * 1e6 * 8 / (kNicGbps * 1e9);
 }
 
 std::size_t coded_blocks_per_segment(std::size_t peers,

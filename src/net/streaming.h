@@ -15,10 +15,12 @@
 
 namespace extnc::net {
 
+// Line rate of one gigabit interface.
+inline constexpr double kNicGbps = 1.0;
+
 struct StreamConfig {
   coding::Params segment{.n = 128, .k = 4096};  // 512 KB media segment
   double stream_kbps = 768.0;                   // high-quality video rate
-  double nic_gbps = 1.0;                        // per gigabit interface
 };
 
 // Seconds of content per segment (the client-side buffering delay).
@@ -33,7 +35,7 @@ std::size_t peers_by_coding_rate(double coding_mb_per_s,
 std::size_t peers_by_nic(const StreamConfig& config, std::size_t nics = 1);
 
 // Gigabit interfaces the coding bandwidth can saturate.
-double nics_saturated(double coding_mb_per_s, const StreamConfig& config);
+double nics_saturated(double coding_mb_per_s);
 
 // Coded blocks the server must generate per segment duration to feed
 // `peers` (each peer needs n blocks per segment; the paper's "at least

@@ -86,8 +86,9 @@ ServiceMode DegradationLadder::update(double pressure) {
 }
 
 ServiceMode DegradationLadder::mode_for(Priority priority) const {
-  const int biased =
-      level_ + config_.class_bias[static_cast<std::size_t>(priority)];
+  // Rung bias per priority class: interactive, standard, best-effort.
+  constexpr std::array<int, kPriorities> kClassBias = {-1, 0, +1};
+  const int biased = level_ + kClassBias[static_cast<std::size_t>(priority)];
   return static_cast<ServiceMode>(
       std::clamp(biased, 0, kServiceModes - 1));
 }

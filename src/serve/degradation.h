@@ -21,10 +21,6 @@ struct LadderConfig {
   std::array<double, kServiceModes - 1> enter = {0.5, 0.75, 0.95};
   // Step down a rung only when pressure < enter[rung-1] - hysteresis.
   double hysteresis = 0.15;
-  // Per-priority-class rung bias applied on top of the pressure level:
-  // interactive traffic degrades one rung LATER than the ladder says,
-  // best-effort one rung EARLIER. mode_for() clamps to [kFull, kThinned].
-  std::array<int, kPriorities> class_bias = {-1, 0, +1};
 };
 
 class DegradationLadder {
@@ -39,8 +35,9 @@ class DegradationLadder {
   ServiceMode mode() const { return static_cast<ServiceMode>(level_); }
 
   // The mode a session of `priority` is actually served in: the current
-  // rung shifted by the class bias (best-effort degrades before
-  // interactive), clamped to the ladder.
+  // rung shifted by one class bias, clamped to [kFull, kThinned].
+  // Interactive traffic degrades one rung later than the ladder says,
+  // best-effort one rung earlier.
   ServiceMode mode_for(Priority priority) const;
 
   // Crash recovery: jump straight to a journaled rung without counting a

@@ -345,14 +345,13 @@ double FleetScheduler::gpu_segment_s(std::size_t device,
   EXTNC_CHECK(device < slots_.size());
   const double bytes =
       static_cast<double>(blocks) * static_cast<double>(config_.params.k);
-  return bytes / (slots_[device]->gpu_mb_per_s * 1e6) +
-         config_.dispatch_overhead_s;
+  return bytes / (slots_[device]->gpu_mb_per_s * 1e6) + kDispatchOverheadS;
 }
 
 double FleetScheduler::cpu_segment_s(std::size_t blocks) const {
   const double bytes =
       static_cast<double>(blocks) * static_cast<double>(config_.params.k);
-  return bytes / (cpu_mb_per_s_ * 1e6) + config_.dispatch_overhead_s;
+  return bytes / (cpu_mb_per_s_ * 1e6) + kDispatchOverheadS;
 }
 
 double FleetScheduler::nominal_segment_s(std::size_t blocks) const {

@@ -59,6 +59,12 @@ struct RestoreRampConfig {
 
 inline constexpr int kRampStages = 4;
 
+// Modeled per-dispatch overhead (driver + PCIe round trip) in seconds.
+// Applied uniformly across service modes: kBatched gets no modeled
+// discount — simulator launches are genuinely fast now, so the ladder
+// level stands on real behavior instead of a fictional multiplier.
+inline constexpr double kDispatchOverheadS = 2e-4;
+
 struct FleetConfig {
   coding::Params params{.n = 16, .k = 256};
   std::vector<simgpu::DeviceSpec> devices;  // one slot per entry
@@ -68,11 +74,6 @@ struct FleetConfig {
   gpu::SupervisorConfig supervisor;
   gpu::EncodeScheme scheme = gpu::EncodeScheme::kTable5;
   std::size_t threads = 2;
-  // Modeled per-dispatch overhead (driver + PCIe round trip). Applied
-  // uniformly across service modes: kBatched no longer gets a modeled
-  // discount — simulator launches are genuinely fast now, so the ladder
-  // level stands on real behavior instead of a fictional multiplier.
-  double dispatch_overhead_s = 2e-4;
   std::uint64_t content_seed = 0x5e55e;
   RestoreRampConfig restore_ramp;
 };

@@ -10,8 +10,8 @@
 // make the re-dispatched segments byte-identical to the ones the lost
 // process would have produced.
 //
-// Format (all little-endian, same XNCK-style framing as the PR 3 decode
-// checkpoint): a fixed header
+// Format (all little-endian, every frame closed by its CRC32C): a fixed
+// header
 //
 //   "XNCJ" | u32 version | u64 config_fingerprint | u32 crc32c(header)
 //

@@ -20,6 +20,17 @@ namespace {
 constexpr std::uint64_t kArrivalSalt = 0xa11a5eedULL;
 constexpr std::uint64_t kTenantSalt = 0x7e4a47a9ULL;
 
+// Thinned service emits n + kBlocksExtraThinned coded blocks per segment.
+constexpr std::size_t kBlocksExtraThinned = 1;
+
+// The supervisor's time constants, as multiples of the nominal segment
+// time (a 1-second default watchdog is absurd when a segment takes 200
+// microseconds). They replace fleet.supervisor's watchdog budget, initial
+// backoff and breaker cool-down.
+constexpr double kWatchdogFactor = 20.0;
+constexpr double kBackoffFactorOfNominal = 1.0;
+constexpr double kCooldownFactor = 200.0;
+
 std::optional<double> parse_number(std::string_view text) {
   double value = 0;
   const char* end = text.data() + text.size();
@@ -270,17 +281,14 @@ CodingService::CodingService(ServiceConfig config, simgpu::Profiler* profiler)
     EXTNC_CHECK(mb_per_s > 0);
     sum += static_cast<double>(blocks_full * config_.fleet.params.k) /
                (mb_per_s * 1e6) +
-           config_.fleet.dispatch_overhead_s;
+           kDispatchOverheadS;
   }
   const double nominal_segment =
       sum / static_cast<double>(config_.fleet.devices.size());
-  if (config_.auto_tune_supervisor) {
-    auto& supervisor = config_.fleet.supervisor;
-    supervisor.watchdog_budget_s = config_.watchdog_factor * nominal_segment;
-    supervisor.backoff_initial_s =
-        config_.backoff_factor_of_nominal * nominal_segment;
-    supervisor.breaker_cooldown_s = config_.cooldown_factor * nominal_segment;
-  }
+  auto& supervisor = config_.fleet.supervisor;
+  supervisor.watchdog_budget_s = kWatchdogFactor * nominal_segment;
+  supervisor.backoff_initial_s = kBackoffFactorOfNominal * nominal_segment;
+  supervisor.breaker_cooldown_s = kCooldownFactor * nominal_segment;
 
   fleet_ = std::make_unique<FleetScheduler>(config_.fleet,
                                             [this] { return sim_.now(); });
@@ -313,7 +321,7 @@ CodingService::CodingService(ServiceConfig config, simgpu::Profiler* profiler)
   fold_u64(fp, config_.fleet.devices.size());
   fold_u64(fp, config_.segments_per_session);
   fold_u64(fp, config_.blocks_extra);
-  fold_u64(fp, config_.blocks_extra_thinned);
+  fold_u64(fp, kBlocksExtraThinned);  // same slot: old journals recover
   fold_f64(fp, config_.offered_load);
   fold_f64(fp, config_.duration_s);
   fold_f64(fp, config_.deadline_factor);
@@ -1041,7 +1049,7 @@ std::uint64_t CodingService::job_seed(std::uint64_t session,
 
 std::size_t CodingService::blocks_for(ServiceMode mode) const {
   const std::size_t n = config_.fleet.params.n;
-  return mode == ServiceMode::kThinned ? n + config_.blocks_extra_thinned
+  return mode == ServiceMode::kThinned ? n + kBlocksExtraThinned
                                        : n + config_.blocks_extra;
 }
 

@@ -128,9 +128,8 @@ struct ServiceConfig {
   FleetConfig fleet;  // params, device specs, fault plan, supervisor
   std::size_t segments_per_session = 4;
   // Generation density: full service emits n + blocks_extra coded blocks
-  // per segment; thinned service emits n + blocks_extra_thinned.
+  // per segment; thinned service emits n + 1.
   std::size_t blocks_extra = 4;
-  std::size_t blocks_extra_thinned = 1;
 
   // Fraction of the fleet's nominal capacity offered as load (before the
   // plan's load multipliers).
@@ -148,16 +147,6 @@ struct ServiceConfig {
   FleetPlan plan;
   // Empty means one "default" tenant at standard priority.
   std::vector<TenantSpec> tenants;
-
-  // Auto-scale the supervisor's time constants to the workload: watchdog
-  // budget, initial backoff and breaker cool-down become these multiples
-  // of the nominal segment time (a 1-second default watchdog is absurd
-  // when a segment takes 200 microseconds). Set false to use
-  // fleet.supervisor verbatim.
-  bool auto_tune_supervisor = true;
-  double watchdog_factor = 20.0;
-  double backoff_factor_of_nominal = 1.0;
-  double cooldown_factor = 200.0;
 
   std::uint64_t seed = 1;
   // Decode-verify every served segment against the reference content.

@@ -245,7 +245,7 @@ bool Checker::absorb(const CheckReport& launch_report) {
                    static_cast<double>(launch_report.counts[i]));
   }
   std::lock_guard lock(mutex_);
-  report_.merge(launch_report, config_.max_findings_total);
+  report_.merge(launch_report, kMaxFindingsTotal);
   return config_.mode == CheckConfig::Mode::kThrow &&
          launch_report.errors() > 0;
 }
@@ -297,10 +297,7 @@ void BlockCheckState::begin_block(std::size_t block, BlockCheckSink* sink) {
 void BlockCheckState::record(CheckFinding finding) {
   EXTNC_DASSERT(sink_ != nullptr);
   sink_->counts[static_cast<std::size_t>(finding.kind)] += 1;
-  if (sink_->findings.size() >=
-      checker_->config().max_findings_per_launch) {
-    return;
-  }
+  if (sink_->findings.size() >= kMaxFindingsPerLaunch) return;
   finding.label = label_;
   finding.block = block_;
   finding.segment = segment_;

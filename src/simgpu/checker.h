@@ -127,10 +127,11 @@ struct CheckConfig {
   bool perf_lints = true;
   std::uint64_t bank_conflict_threshold = 8;
   std::uint64_t uncoalesced_threshold = 16;
-  // Caps on stored findings (event *counts* are never capped).
-  std::size_t max_findings_per_launch = 64;
-  std::size_t max_findings_total = 256;
 };
+
+// Caps on stored findings (event *counts* are never capped).
+inline constexpr std::size_t kMaxFindingsPerLaunch = 64;
+inline constexpr std::size_t kMaxFindingsTotal = 256;
 
 // Thrown by a checked launch in kThrow mode. The launch itself completed
 // and was fully accounted (metrics, profiler record, injector contract)

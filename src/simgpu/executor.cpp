@@ -504,13 +504,12 @@ void Launcher::launch(const LaunchConfig& config,
   std::uint64_t check_events = 0;
   if (checker != nullptr) {
     launch_report.checked_launches = 1;
-    const std::size_t cap = checker->config().max_findings_per_launch;
     for (const BlockCheckSink& sink : check_sinks) {
       for (std::size_t i = 0; i < kCheckKindCount; ++i) {
         launch_report.counts[i] += sink.counts[i];
       }
       for (const CheckFinding& finding : sink.findings) {
-        if (launch_report.findings.size() >= cap) break;
+        if (launch_report.findings.size() >= kMaxFindingsPerLaunch) break;
         launch_report.findings.push_back(finding);
       }
     }

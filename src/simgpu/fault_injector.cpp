@@ -191,14 +191,4 @@ void FaultInjector::damage_regions(FaultClass fault) {
   }
 }
 
-void FaultInjector::apply_pending_damage(std::span<std::uint8_t> region) {
-  if (pending_damage_ == 0 || region.empty()) return;
-  for (; pending_damage_ > 0; --pending_damage_) {
-    for (int f = 0; f < plan_.flips_per_fault; ++f) {
-      region[rng_.next_below(region.size())] ^=
-          static_cast<std::uint8_t>(1u << rng_.next_below(8));
-    }
-  }
-}
-
 }  // namespace extnc::simgpu

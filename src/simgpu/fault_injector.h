@@ -124,13 +124,12 @@ class FaultInjector {
   // --- device-memory surface for bit-flip / hang damage -----------------
   // Regions registered here play the role of the device global memory an
   // output-corrupting fault can damage. Supervisors watch the output
-  // buffer of the operation in flight and clear afterwards. If a damaging
-  // fault fires with no region watched, the damage is held pending and can
-  // be applied later via apply_pending_damage (or simply observed).
+  // buffer of the operation in flight and clear afterwards. A damaging
+  // fault that fires with no region watched damages nothing; it is counted
+  // in pending_damage() so a test can observe it.
   void watch_region(std::span<std::uint8_t> region);
   void clear_regions();
   std::size_t pending_damage() const { return pending_damage_; }
-  void apply_pending_damage(std::span<std::uint8_t> region);
 
   // --- Launcher interface ------------------------------------------------
   // The injector operates at LAUNCH granularity, on the launching thread

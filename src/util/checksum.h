@@ -3,7 +3,7 @@
 // crc32c: the Castagnoli CRC (polynomial 0x1EDC6F41, reflected 0x82F63B78),
 // the same checksum iSCSI/ext4 use — strong burst-error detection in 4
 // bytes. Used as the XNC2 packet trailer and by every CRC-framed record
-// (segment digests, the XNCJ journal, the XNCK checkpoint). The backend is
+// (segment digests, the XNCJ journal). The backend is
 // chosen once per process: the SSE4.2 CRC32 instruction on x86-64 CPUs
 // that have it (crc32c_backend() == "sse4.2"), otherwise a byte-at-a-time
 // table loop ("table"). The table loop is also the reference: both

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coding/systematic.h"
+#include "systematic_encoder.h"
 #include "util/rng.h"
 
 namespace extnc::coding {

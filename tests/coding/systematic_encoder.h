@@ -8,15 +8,15 @@
 // random-code the paper accelerates. The progressive decoder handles the
 // mixture transparently.
 //
-// coding::GenerationEncoder (coding/generation_stream.h) applies the same
-// rule per generation of a file, coding each unit row through its kernel
-// (the same bytes as the copy made here). This class stays the rule's
-// reference: the GenerationStream tests check GenerationEncoder's
-// systematic packets against it, so the two cannot drift apart unseen.
+// coding::GenerationEncoder (coding/generation_stream.h) applies this rule
+// per generation of a file, coding each unit row through its kernel. This
+// copy-based encoder is the rule's test reference: the GenerationStream
+// tests check GenerationEncoder's systematic packets against it, so the
+// two cannot drift apart unseen.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <span>
 
 #include "coding/encoder.h"
 
@@ -24,20 +24,23 @@ namespace extnc::coding {
 
 class SystematicEncoder {
  public:
-  explicit SystematicEncoder(const Segment& segment,
-                             CoefficientModel model = CoefficientModel::dense())
-      : segment_(&segment), coded_(segment, model) {}
+  explicit SystematicEncoder(const Segment& segment)
+      : segment_(&segment), coded_(segment) {}
 
   const Params& params() const { return segment_->params(); }
 
   // True while the next emission is an uncoded pass-through block.
   bool in_systematic_phase() const { return next_ < params().n; }
 
-  CodedBlock next(Rng& rng);
-  // Same emission (same rng draws), written into caller regions of n and
-  // k bytes — e.g. the body of a wire frame (coding/wire.h seal_frame).
-  void next_into(Rng& rng, std::span<std::uint8_t> coefficients,
-                 std::span<std::uint8_t> payload);
+  CodedBlock next(Rng& rng) {
+    if (!in_systematic_phase()) return coded_.encode(rng);
+    CodedBlock block(params());
+    block.coefficients()[next_] = 1;
+    const auto source = segment_->block(next_);
+    std::copy(source.begin(), source.end(), block.payload().begin());
+    ++next_;
+    return block;
+  }
 
   // Restart the systematic pass (e.g. for a new receiver cohort).
   void reset() { next_ = 0; }

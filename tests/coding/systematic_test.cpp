@@ -1,4 +1,4 @@
-#include "coding/systematic.h"
+#include "systematic_encoder.h"
 
 #include <gtest/gtest.h>
 

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "coding/encoder.h"
-#include "simgpu/fault_injector.h"
-#include "util/metrics_registry.h"
 
 namespace extnc::gpu {
 namespace {
@@ -98,102 +96,6 @@ TEST(HybridEncoder, EmptyBatchIsNoop) {
   CodedBatch batch(params, 0);
   hybrid.encode_into(batch);
   EXPECT_EQ(batch.count(), 0u);
-}
-
-// A device loss mid-batch rebalances the split to CPU-only; the faulted
-// batch itself is re-encoded on the CPU with the same coefficients, so
-// output stays bit-exact with the reference throughout.
-TEST(HybridEncoder, DeviceLossMidBatchRebalancesToCpu) {
-  metrics::Registry::instance().reset();
-  Rng rng(8);
-  const Params params{.n = 8, .k = 128};
-  const Segment segment = Segment::random(params, rng);
-  ThreadPool pool(2);
-  HybridEncoder hybrid(simgpu::gtx280(), segment, pool,
-                       EncodeScheme::kTable5, 0.5);
-  simgpu::FaultPlan plan;
-  plan.scripted[0] = simgpu::FaultClass::kDeviceLost;
-  simgpu::FaultInjector injector(plan);
-  hybrid.attach_fault_injector(&injector);
-
-  const Encoder reference(segment);
-  std::vector<std::uint8_t> expected(params.k);
-  auto check = [&](const CodedBatch& batch) {
-    for (std::size_t j = 0; j < batch.count(); ++j) {
-      reference.encode_with_coefficients(batch.coefficients(j), expected);
-      ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
-                             batch.payload(j).begin()))
-          << "block " << j;
-    }
-  };
-
-  check(hybrid.encode_batch(12, rng));  // GPU half dies on launch 0
-  EXPECT_TRUE(hybrid.gpu_disabled());
-  EXPECT_EQ(hybrid.gpu_blocks(10), 0u);  // split rebalanced to CPU-only
-  EXPECT_EQ(metrics::Registry::instance().value("gpu.hybrid.rebalances"), 1.0);
-  EXPECT_EQ(metrics::Registry::instance().value("gpu.hybrid.device_faults"),
-            1.0);
-  check(hybrid.encode_batch(12, rng));  // later batches avoid the dead GPU
-  EXPECT_EQ(metrics::Registry::instance().value("gpu.hybrid.device_faults"),
-            1.0);  // no further faults: the GPU path was not retried
-}
-
-TEST(HybridEncoder, TransientLaunchFailureKeepsGpuInRotation) {
-  metrics::Registry::instance().reset();
-  Rng rng(9);
-  const Params params{.n = 8, .k = 128};
-  const Segment segment = Segment::random(params, rng);
-  ThreadPool pool(2);
-  HybridEncoder hybrid(simgpu::gtx280(), segment, pool,
-                       EncodeScheme::kTable5, 0.5);
-  simgpu::FaultPlan plan;
-  plan.scripted[0] = simgpu::FaultClass::kLaunchFailure;
-  simgpu::FaultInjector injector(plan);
-  hybrid.attach_fault_injector(&injector);
-
-  const Encoder reference(segment);
-  std::vector<std::uint8_t> expected(params.k);
-  for (int round = 0; round < 2; ++round) {
-    const CodedBatch batch = hybrid.encode_batch(10, rng);
-    for (std::size_t j = 0; j < batch.count(); ++j) {
-      reference.encode_with_coefficients(batch.coefficients(j), expected);
-      ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
-                             batch.payload(j).begin()))
-          << "round " << round << " block " << j;
-    }
-  }
-  EXPECT_FALSE(hybrid.gpu_disabled());  // transient: split unchanged
-  EXPECT_EQ(metrics::Registry::instance().value("gpu.hybrid.device_faults"),
-            1.0);
-  EXPECT_EQ(metrics::Registry::instance().value("gpu.hybrid.rebalances"), 0.0);
-}
-
-TEST(HybridEncoder, RestoreGpuReenablesSplitAfterRecovery) {
-  Rng rng(10);
-  const Params params{.n = 8, .k = 64};
-  const Segment segment = Segment::random(params, rng);
-  ThreadPool pool(2);
-  HybridEncoder hybrid(simgpu::gtx280(), segment, pool,
-                       EncodeScheme::kTable5, 0.5);
-  simgpu::FaultPlan plan;
-  plan.scripted[0] = simgpu::FaultClass::kDeviceLost;
-  simgpu::FaultInjector injector(plan);
-  hybrid.attach_fault_injector(&injector);
-  (void)hybrid.encode_batch(8, rng);
-  ASSERT_TRUE(hybrid.gpu_disabled());
-
-  injector.restore_device();
-  hybrid.restore_gpu();
-  EXPECT_FALSE(hybrid.gpu_disabled());
-  EXPECT_GT(hybrid.gpu_blocks(10), 0u);
-  const Encoder reference(segment);
-  std::vector<std::uint8_t> expected(params.k);
-  const CodedBatch batch = hybrid.encode_batch(10, rng);
-  for (std::size_t j = 0; j < batch.count(); ++j) {
-    reference.encode_with_coefficients(batch.coefficients(j), expected);
-    ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
-                           batch.payload(j).begin()));
-  }
 }
 
 TEST(HybridEncoderDeathTest, InvalidShareAborts) {

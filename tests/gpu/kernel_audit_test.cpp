@@ -239,11 +239,11 @@ TEST(KernelAuditModel, RecoderAggregateGeometry) {
 
 TEST(KernelAuditClasses, PayloadAndCoefficientClassBytes) {
   ModelAssumptions assume;
-  EXPECT_EQ(payload_class_byte(PayloadClass::kUniform, assume, 5), 0x35);
-  EXPECT_EQ(payload_class_byte(PayloadClass::kStride64, assume, 0), 1);
-  EXPECT_EQ(payload_class_byte(PayloadClass::kStride64, assume, 4), 1 + 64);
-  EXPECT_EQ(payload_class_byte(PayloadClass::kSparse, assume, 0), -1);
-  EXPECT_EQ(payload_class_byte(PayloadClass::kSparse, assume, 1), 0x35);
+  EXPECT_EQ(payload_class_byte(PayloadClass::kUniform, 5), 0x35);
+  EXPECT_EQ(payload_class_byte(PayloadClass::kStride64, 0), 1);
+  EXPECT_EQ(payload_class_byte(PayloadClass::kStride64, 4), 1 + 64);
+  EXPECT_EQ(payload_class_byte(PayloadClass::kSparse, 0), -1);
+  EXPECT_EQ(payload_class_byte(PayloadClass::kSparse, 1), 0x35);
   EXPECT_EQ(coeff_class_byte(assume, 3), 0x1d);
   assume.coeff_zero_every = 3;
   EXPECT_EQ(coeff_class_byte(assume, 2), -1);

@@ -1,6 +1,6 @@
 // The supervision layer: retry/backoff/watchdog/breaker state machine at
-// the closure level, then the supervised encoder and multi-segment decoder
-// against scripted device faults, and checkpoint/resume.
+// the closure level, then the supervised encoder and the seed-encoder
+// bridge against scripted device faults.
 #include "gpu/resilient_launcher.h"
 
 #include <gtest/gtest.h>
@@ -8,9 +8,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "coding/block_decoder.h"
 #include "coding/encoder.h"
-#include "cpu/multi_segment_decoder.h"
 #include "util/checksum.h"
 #include "util/metrics_registry.h"
 
@@ -362,7 +360,7 @@ TEST(ResilientLauncher, NoFallbackWiredReportsFailed) {
   SupervisedOp op;
   op.gpu = [] {};
   op.verify = [] { return false; };
-  // op.cpu left null (stop-on-device-loss decode mode).
+  // op.cpu left null: no fallback wired.
   EXPECT_EQ(supervisor.run(op).path, ComputePath::kFailed);
 }
 
@@ -536,209 +534,6 @@ TEST_F(ResilientEncoderFaults, BreakerHalfOpenProbeRecoversGpuAfterLoss) {
       EXPECT_EQ(crc32c(expected), crc32c(batch->payload(j))) << j;
     }
   }
-}
-
-// --- checkpoint wire format ------------------------------------------------
-
-TEST(DecodeCheckpoint, SerializeDeserializeRoundtrip) {
-  Rng rng(21);
-  const Params params{.n = 8, .k = 64};
-  DecodeCheckpoint ck;
-  ck.params = params;
-  ck.done = {1, 0, 1};
-  ck.decoded = {Segment::random(params, rng), Segment{},
-                Segment::random(params, rng)};
-  const auto bytes = ck.serialize();
-  const auto back = DecodeCheckpoint::deserialize(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->params, params);
-  EXPECT_EQ(back->done, ck.done);
-  EXPECT_EQ(back->completed(), 2u);
-  EXPECT_FALSE(back->complete());
-  EXPECT_EQ(back->decoded[0], ck.decoded[0]);
-  EXPECT_EQ(back->decoded[2], ck.decoded[2]);
-}
-
-TEST(DecodeCheckpoint, RejectsDamagedBytes) {
-  Rng rng(22);
-  const Params params{.n = 4, .k = 32};
-  DecodeCheckpoint ck;
-  ck.params = params;
-  ck.done = {1, 1};
-  ck.decoded = {Segment::random(params, rng), Segment::random(params, rng)};
-  const auto bytes = ck.serialize();
-  ASSERT_TRUE(DecodeCheckpoint::deserialize(bytes).has_value());
-
-  auto flipped = bytes;
-  flipped[flipped.size() / 2] ^= 0x40;  // CRC catches payload damage
-  EXPECT_FALSE(DecodeCheckpoint::deserialize(flipped).has_value());
-
-  auto truncated = bytes;
-  truncated.pop_back();
-  EXPECT_FALSE(DecodeCheckpoint::deserialize(truncated).has_value());
-
-  auto bad_magic = bytes;
-  bad_magic[0] = 'Y';
-  EXPECT_FALSE(DecodeCheckpoint::deserialize(bad_magic).has_value());
-
-  EXPECT_FALSE(
-      DecodeCheckpoint::deserialize(std::span<const std::uint8_t>{})
-          .has_value());
-}
-
-// --- supervised multi-segment decode: fallback and checkpoint/resume -------
-
-CodedBatch independent_batch(const Segment& segment, Rng& rng) {
-  const Params& params = segment.params();
-  const Encoder encoder(segment);
-  coding::BlockDecoder probe(params);
-  CodedBatch batch(params, params.n);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
-  }
-  return batch;
-}
-
-class ResilientMultiSegFaults : public ::testing::Test {
- protected:
-  static constexpr Params kParams{.n = 8, .k = 64};
-  static constexpr std::size_t kSegments = 4;
-
-  ResilientMultiSegFaults() : rng_(31) {
-    for (std::size_t s = 0; s < kSegments; ++s) {
-      segments_.push_back(Segment::random(kParams, rng_));
-      batches_.push_back(independent_batch(segments_.back(), rng_));
-    }
-  }
-
-  // Device-wide launch count of one clean single-segment decode, so
-  // scripted faults can target an exact segment.
-  std::size_t launches_per_segment() {
-    simgpu::FaultInjector probe{simgpu::FaultPlan{}};
-    ResilientLauncher supervisor(SupervisorConfig{}, &probe);
-    ThreadPool pool(2);
-    ResilientMultiSegDecoder decoder(simgpu::gtx280(), kParams, pool,
-                                     supervisor);
-    const auto out = decoder.decode_all({batches_[0]});
-    EXPECT_EQ(out[0], segments_[0]);
-    EXPECT_GT(probe.counters().launches, 0u);
-    return probe.counters().launches;
-  }
-
-  Rng rng_;
-  std::vector<Segment> segments_;
-  std::vector<CodedBatch> batches_;
-};
-
-TEST_F(ResilientMultiSegFaults, CleanDecodeStaysOnGpu) {
-  ResilientLauncher supervisor;
-  ThreadPool pool(2);
-  ResilientMultiSegDecoder decoder(simgpu::gtx280(), kParams, pool,
-                                   supervisor);
-  const auto out = decoder.decode_all(batches_);
-  for (std::size_t s = 0; s < kSegments; ++s) {
-    EXPECT_EQ(out[s], segments_[s]) << s;
-  }
-  const MultiSegReport& report = decoder.last_report();
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.gpu_segments, kSegments);
-  EXPECT_EQ(report.cpu_segments, 0u);
-  EXPECT_EQ(report.from_checkpoint, 0u);
-}
-
-TEST_F(ResilientMultiSegFaults, DeviceLossMidDecodeDegradesToCpu) {
-  // Lose the device on the first launch of segment 2's decode.
-  simgpu::FaultPlan plan;
-  plan.scripted[launches_per_segment() * 2] = simgpu::FaultClass::kDeviceLost;
-  simgpu::FaultInjector injector(plan);
-  ResilientLauncher supervisor(SupervisorConfig{}, &injector);
-  ThreadPool pool(2);
-  ResilientMultiSegDecoder decoder(simgpu::gtx280(), kParams, pool,
-                                   supervisor);
-  const auto out = decoder.decode_all(batches_);
-  for (std::size_t s = 0; s < kSegments; ++s) {
-    EXPECT_EQ(out[s], segments_[s]) << s;  // bit-exact despite the loss
-  }
-  const MultiSegReport& report = decoder.last_report();
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.gpu_segments, 2u);
-  EXPECT_EQ(report.cpu_segments, 2u);
-  EXPECT_TRUE(supervisor.breaker_open());
-}
-
-TEST_F(ResilientMultiSegFaults, CheckpointResumeRedoesNoCompletedSegment) {
-  const std::size_t per_segment = launches_per_segment();
-
-  // Phase 1: decode until the device dies at the start of segment 2.
-  simgpu::FaultPlan plan;
-  plan.scripted[per_segment * 2] = simgpu::FaultClass::kDeviceLost;
-  simgpu::FaultInjector injector(plan);
-  ResilientLauncher supervisor(SupervisorConfig{}, &injector);
-  ThreadPool pool(2);
-  ResilientMultiSegDecoder decoder(simgpu::gtx280(), kParams, pool,
-                                   supervisor);
-  DecodeCheckpoint ck;
-  const auto partial = decoder.decode_all(batches_, &ck,
-                                          /*stop_on_device_loss=*/true);
-  EXPECT_TRUE(decoder.last_report().stopped_on_device_loss);
-  EXPECT_FALSE(decoder.last_report().complete);
-  EXPECT_EQ(ck.completed(), 2u);
-  EXPECT_EQ(partial[0], segments_[0]);
-  EXPECT_EQ(partial[1], segments_[1]);
-
-  // The checkpoint travels as bytes (e.g. to a replacement device).
-  const auto wire = ck.serialize();
-  auto restored = DecodeCheckpoint::deserialize(wire);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->completed(), 2u);
-
-  // Phase 2: resume on a healthy device. Completed segments are restored,
-  // not recomputed: the new device sees launches for 2 segments only.
-  simgpu::FaultInjector healthy{simgpu::FaultPlan{}};
-  ResilientLauncher supervisor2(SupervisorConfig{}, &healthy);
-  ResilientMultiSegDecoder decoder2(simgpu::gtx280(), kParams, pool,
-                                    supervisor2);
-  const auto out = decoder2.decode_all(batches_, &*restored);
-  for (std::size_t s = 0; s < kSegments; ++s) {
-    EXPECT_EQ(out[s], segments_[s]) << s;
-  }
-  const MultiSegReport& report = decoder2.last_report();
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.from_checkpoint, 2u);
-  EXPECT_EQ(report.gpu_segments, 2u);
-  EXPECT_EQ(report.cpu_segments, 0u);
-  EXPECT_EQ(healthy.counters().launches, per_segment * 2);
-  EXPECT_TRUE(restored->complete());
-}
-
-TEST_F(ResilientMultiSegFaults, BitFlipInDecodeCaughtBySegmentVerifier) {
-  const std::size_t per_segment = launches_per_segment();
-  // Flip device memory during every launch of segment 1's first attempt.
-  simgpu::FaultPlan plan;
-  for (std::size_t i = 0; i < per_segment; ++i) {
-    plan.scripted[per_segment + i] = simgpu::FaultClass::kBitFlip;
-  }
-  simgpu::FaultInjector injector(plan);
-  SupervisorConfig config;
-  config.verify_sample = kParams.n;  // check every row of each segment
-  ResilientLauncher supervisor(config, &injector);
-  ThreadPool pool(2);
-  ResilientMultiSegDecoder decoder(simgpu::gtx280(), kParams, pool,
-                                   supervisor);
-  const auto out = decoder.decode_all(batches_);
-  for (std::size_t s = 0; s < kSegments; ++s) {
-    EXPECT_EQ(out[s], segments_[s]) << s;
-  }
-  EXPECT_TRUE(decoder.last_report().complete);
-  EXPECT_GT(supervisor.totals().corrupted_outputs, 0u);
-  EXPECT_GT(supervisor.totals().retries, 0u);
 }
 
 // --- seed-encoder bridge ---------------------------------------------------

@@ -28,8 +28,8 @@ TEST(Streaming, BestSchemeServesMoreThan3000Peers) {
 }
 
 TEST(Streaming, BestSchemeSaturatesTwoGigabitNics) {
-  EXPECT_GT(nics_saturated(294.0, StreamConfig{}), 2.0);
-  EXPECT_LT(nics_saturated(133.0, StreamConfig{}), 1.1);
+  EXPECT_GT(nics_saturated(294.0), 2.0);
+  EXPECT_LT(nics_saturated(133.0), 1.1);
 }
 
 TEST(Streaming, CodedBlocksPerSegmentMatchesPaper) {

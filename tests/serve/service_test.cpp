@@ -433,6 +433,16 @@ TEST(CodingService, CrashedRunReportsPartialAndJournalRecovers) {
   EXPECT_GE(report.completed, partial.completed);
 }
 
+TEST(CodingService, DefaultConfigFingerprintIsPinned) {
+  // Journals carry this value and recovery refuses any other, so a change
+  // to what the fingerprint folds, or to a folded default, orphans every
+  // existing journal.
+  ServiceConfig config;
+  config.fleet.devices.push_back(simgpu::gtx280());
+  const CodingService service(config);
+  EXPECT_EQ(service.config_fingerprint(), 0x513bd3d948eb330cULL);
+}
+
 TEST(CodingService, RecoveryRefusesForeignOrCorruptJournals) {
   ServiceConfig config = recovery_config();
   const auto plan = FleetPlan::parse("crash@0.02");
