@@ -174,6 +174,7 @@ double lt_decode_rate_mb() {
 
 int main(int argc, char** argv) {
   using namespace extnc::bench;
+  check_flags(argc, argv, {}, {"--csv"});
   const bool csv = has_flag(argc, argv, "--csv");
 
   std::printf("Code families at k = %zu blocks x %zu B (paper Sec. 2)\n\n",

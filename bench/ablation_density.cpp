@@ -78,6 +78,7 @@ double dependent_fraction(double density) {
 
 int main(int argc, char** argv) {
   using namespace extnc::bench;
+  check_flags(argc, argv, {}, {"--csv"});
   const bool csv = has_flag(argc, argv, "--csv");
   ThreadPool pool;
 

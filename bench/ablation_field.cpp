@@ -117,6 +117,7 @@ double dependents_per_decode_gf65536(std::size_t n, int decodes) {
 
 int main(int argc, char** argv) {
   using namespace extnc::bench;
+  check_flags(argc, argv, {}, {"--csv"});
   const bool csv = has_flag(argc, argv, "--csv");
 
   std::printf("Field-size ablation: GF(2^8) vs GF(2^16)\n\n");

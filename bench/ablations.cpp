@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   using namespace extnc;
   using namespace extnc::bench;
   using namespace extnc::gpu;
+  check_flags(argc, argv, {}, {"--csv"});
   const bool csv = has_flag(argc, argv, "--csv");
   const auto& gtx = simgpu::gtx280();
   const cpu::XeonModel xeon;

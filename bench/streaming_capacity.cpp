@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace extnc;
   using namespace extnc::bench;
   using namespace extnc::gpu;
+  check_flags(argc, argv, {}, {"--csv"});
   const bool csv = has_flag(argc, argv, "--csv");
   const net::StreamConfig config;
 

@@ -159,6 +159,18 @@ KernelMetrics scaled_encode_metrics(const simgpu::DeviceSpec& spec,
   return m;
 }
 
+KernelMetrics analytic_multiply_metrics(const simgpu::DeviceSpec& spec,
+                                        const coding::Params& params,
+                                        std::size_t segments) {
+  // Stage 2 reuses the table-based-5 encode kernel (see
+  // GpuMultiSegmentDecoder::multiply_stage): per segment, n "coded blocks"
+  // whose coefficients are the rows of C^-1, with the coded payloads
+  // preprocessed to the log domain as pseudo-source blocks.
+  return scaled_encode_metrics(spec, EncodeScheme::kTable5, params,
+                               /*coded_blocks=*/segments * params.n,
+                               /*include_preprocessing=*/true, segments);
+}
+
 }  // namespace
 
 BandwidthEstimate model_encode_bandwidth(const simgpu::DeviceSpec& spec,
@@ -302,18 +314,6 @@ KernelMetrics analytic_inversion_metrics(const simgpu::DeviceSpec& spec,
       static_cast<double>(spec.max_threads_per_block),
       std::max(1.0, n * row_words)));
   return m;
-}
-
-KernelMetrics analytic_multiply_metrics(const simgpu::DeviceSpec& spec,
-                                        const coding::Params& params,
-                                        std::size_t segments) {
-  // Stage 2 reuses the table-based-5 encode kernel (see
-  // GpuMultiSegmentDecoder::multiply_stage): per segment, n "coded blocks"
-  // whose coefficients are the rows of C^-1, with the coded payloads
-  // preprocessed to the log domain as pseudo-source blocks.
-  return scaled_encode_metrics(spec, EncodeScheme::kTable5, params,
-                               /*coded_blocks=*/segments * params.n,
-                               /*include_preprocessing=*/true, segments);
 }
 
 MultiSegEstimate model_multi_segment_decode(const simgpu::DeviceSpec& spec,

@@ -75,16 +75,14 @@ MultiSegEstimate model_multi_segment_decode(const simgpu::DeviceSpec& spec,
                                             simgpu::Profiler* profiler =
                                                 nullptr);
 
-// Analytic metric builders (exposed for tests, which cross-check them
-// against the functional decoders' measured metrics).
+// Analytic metric builders of the single-segment decode and inversion
+// kernels (exposed for tests, which cross-check them against the
+// functional decoders' measured metrics).
 simgpu::KernelMetrics analytic_single_segment_decode_metrics(
     const simgpu::DeviceSpec& spec, const coding::Params& params,
     const DecodeOptions& options);
 simgpu::KernelMetrics analytic_inversion_metrics(const simgpu::DeviceSpec& spec,
                                                  const coding::Params& params,
                                                  std::size_t segments);
-simgpu::KernelMetrics analytic_multiply_metrics(const simgpu::DeviceSpec& spec,
-                                                const coding::Params& params,
-                                                std::size_t segments);
 
 }  // namespace extnc::gpu

@@ -31,6 +31,7 @@
 #include "coding/batch.h"
 #include "coding/segment.h"
 #include "gpu/encode_scheme.h"
+#include "simgpu/checker.h"
 #include "simgpu/device_spec.h"
 #include "simgpu/static_model.h"
 
@@ -184,9 +185,9 @@ struct AuditOptions {
   coding::Params params{.n = 16, .k = 256};
   std::size_t batch_blocks = 16;
   ModelAssumptions assume;
-  // Advisory lint thresholds; defaults match the dynamic Checker's.
-  std::uint64_t bank_conflict_threshold = 8;
-  std::uint64_t uncoalesced_threshold = 16;
+  // Advisory lint thresholds; defaults are the dynamic Checker's.
+  std::uint64_t bank_conflict_threshold = simgpu::kBankConflictLintDegree;
+  std::uint64_t uncoalesced_threshold = simgpu::kUncoalescedLintSegments;
 };
 
 struct AuditCase {

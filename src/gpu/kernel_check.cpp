@@ -37,10 +37,9 @@ class EngineGuard {
   simgpu::ExecEngine saved_;
 };
 
-Checker make_checker(const KernelCheckOptions& options) {
+Checker make_checker() {
   CheckConfig config;
   config.mode = CheckConfig::Mode::kCollect;  // sweep everything, throw never
-  config.perf_lints = options.perf_lints;
   return Checker(config);
 }
 
@@ -68,7 +67,7 @@ coding::CodedBatch independent_batch(const coding::Segment& segment,
 KernelCheckCase check_encode(const simgpu::DeviceSpec& spec,
                              const KernelCheckOptions& options,
                              EncodeScheme scheme) {
-  Checker checker = make_checker(options);
+  Checker checker = make_checker();
   Rng rng(options.seed);
   const coding::Segment segment =
       coding::Segment::random(options.params, rng);
@@ -82,7 +81,7 @@ KernelCheckCase check_decode_single(const simgpu::DeviceSpec& spec,
                                     const KernelCheckOptions& options,
                                     DecodeOptions decode_options,
                                     std::string name) {
-  Checker checker = make_checker(options);
+  Checker checker = make_checker();
   Rng rng(options.seed);
   const coding::Segment segment =
       coding::Segment::random(options.params, rng);
@@ -98,7 +97,7 @@ KernelCheckCase check_decode_single(const simgpu::DeviceSpec& spec,
 
 KernelCheckCase check_decode_multiseg(const simgpu::DeviceSpec& spec,
                                       const KernelCheckOptions& options) {
-  Checker checker = make_checker(options);
+  Checker checker = make_checker();
   Rng rng(options.seed);
   std::vector<coding::CodedBatch> batches;
   for (int s = 0; s < 2; ++s) {
@@ -113,7 +112,7 @@ KernelCheckCase check_decode_multiseg(const simgpu::DeviceSpec& spec,
 
 KernelCheckCase check_recode(const simgpu::DeviceSpec& spec,
                              const KernelCheckOptions& options) {
-  Checker checker = make_checker(options);
+  Checker checker = make_checker();
   Rng rng(options.seed);
   const coding::Segment segment =
       coding::Segment::random(options.params, rng);
@@ -125,7 +124,7 @@ KernelCheckCase check_recode(const simgpu::DeviceSpec& spec,
 
 KernelCheckCase check_hybrid(const simgpu::DeviceSpec& spec,
                              const KernelCheckOptions& options) {
-  Checker checker = make_checker(options);
+  Checker checker = make_checker();
   Rng rng(options.seed);
   const coding::Segment segment =
       coding::Segment::random(options.params, rng);

@@ -34,7 +34,6 @@ struct KernelCheckOptions {
   coding::Params params{.n = 16, .k = 256};
   std::size_t batch_blocks = 16;  // coded blocks per encode batch
   std::uint64_t seed = 1;
-  bool perf_lints = true;  // advisory lints on (they never dirty a report)
 };
 
 // Runs every case on `engine` (kSerial / kParallel / kAuto pinned for the

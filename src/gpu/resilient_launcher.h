@@ -13,8 +13,8 @@
 //              seconds; nothing sleeps for real).
 //   degrades — a per-device circuit breaker opens after repeated failures
 //              or on device loss, after which operations go straight to
-//              the operation's CPU implementation (cpu::CpuTableEncoder
-//              for encodes) and the run completes bit-exact, just slower —
+//              the operation's CPU implementation (cpu::CpuEncoder for
+//              encodes) and the run completes bit-exact, just slower —
 //              the graceful-degradation contract.
 //
 // This is the library's one GPU fault policy: ResilientEncoder, the seed
@@ -36,7 +36,7 @@
 #include "coding/batch.h"
 #include "coding/encoder.h"
 #include "coding/segment.h"
-#include "cpu/cpu_table_encoder.h"
+#include "cpu/cpu_encoder.h"
 #include "gpu/gpu_encoder.h"
 #include "simgpu/fault_injector.h"
 #include "util/rng.h"
@@ -189,7 +189,8 @@ class ResilientLauncher {
 // GPU encoder under supervision: same interface shape as GpuEncoder, but
 // every batch is watchdog-timed, byte-compared on verify_sample rows with
 // the reference coding::Encoder, retried on transient faults and
-// re-encoded on the CPU (cpu::CpuTableEncoder — bit-exact by construction)
+// re-encoded on the CPU (cpu::CpuEncoder, full-block — it rewrites every
+// payload, so a fallback after a corrupted attempt leaves no stale byte)
 // when the GPU path is unavailable. Coefficients are drawn once per batch,
 // so the output bytes are identical whichever path computed them.
 class ResilientEncoder {
@@ -214,7 +215,7 @@ class ResilientEncoder {
   const coding::Segment* segment_;
   coding::Encoder reference_;
   GpuEncoder gpu_encoder_;
-  cpu::CpuTableEncoder cpu_encoder_;
+  cpu::CpuEncoder cpu_encoder_;
   ResilientLauncher* supervisor_;
   Rng sample_rng_;
   OperationReport last_;

@@ -58,7 +58,6 @@ const char* service_mode_name(ServiceMode mode) {
 }
 
 DegradationLadder::DegradationLadder(LadderConfig config) : config_(config) {
-  EXTNC_CHECK(config_.hysteresis >= 0);
   for (std::size_t i = 0; i + 1 < config_.enter.size(); ++i) {
     EXTNC_CHECK(config_.enter[i] <= config_.enter[i + 1]);
   }
@@ -76,7 +75,7 @@ ServiceMode DegradationLadder::update(double pressure) {
   } else if (target < level_) {
     // Step down one rung at a time, and only past the hysteresis band of
     // the rung we are leaving.
-    if (pressure < config_.enter[level_ - 1] - config_.hysteresis) {
+    if (pressure < config_.enter[level_ - 1] - kLadderHysteresis) {
       --level_;
       ++transitions_;
     }

@@ -3,7 +3,7 @@
 // Maps the admission queue's pressure (fill fraction) to a ServiceMode.
 // Rising pressure climbs the ladder one or more rungs immediately (the
 // service must react to a spike within the dispatch it sees it); falling
-// pressure steps down only after dropping `hysteresis` BELOW the rung's
+// pressure steps down only after dropping kLadderHysteresis BELOW the rung's
 // entry threshold, so a queue hovering at a boundary does not flap between
 // modes on every dispatch.
 #pragma once
@@ -15,12 +15,13 @@
 
 namespace extnc::serve {
 
+// Step down a rung only when pressure < enter[rung-1] - kLadderHysteresis.
+inline constexpr double kLadderHysteresis = 0.15;
+
 struct LadderConfig {
   // Entry thresholds (pressure, i.e. queue depth / capacity) for
   // kBatched, kCpuCodec, kThinned. Must be non-decreasing.
   std::array<double, kServiceModes - 1> enter = {0.5, 0.75, 0.95};
-  // Step down a rung only when pressure < enter[rung-1] - hysteresis.
-  double hysteresis = 0.15;
 };
 
 class DegradationLadder {

@@ -57,6 +57,10 @@ FleetScheduler::FleetScheduler(FleetConfig config, std::function<double()> clock
     EXTNC_CHECK(share > 0 && share <= 1.0);
     if (s > 0) EXTNC_CHECK(share >= config_.restore_ramp.shares[s - 1]);
   }
+  // CPU segments are charged at the paper's Xeon table-scheme rate
+  // (Sec. 5.1.2): a modeled figure, not a timing of the host code that
+  // computes their bytes. The service timeline and its golden depend on
+  // it.
   cpu_mb_per_s_ = cpu::XeonModel{}.encode_table_mb_per_s(config_.params);
   EXTNC_CHECK(cpu_mb_per_s_ > 0);
   slots_.reserve(config_.devices.size());

@@ -443,7 +443,7 @@ void BlockCheckState::on_shared_group(std::size_t half_warp,
                                       std::uint32_t seq,
                                       std::uint64_t degree) {
   const CheckConfig& config = checker_->config();
-  if (!config.perf_lints || degree < config.bank_conflict_threshold) return;
+  if (!config.perf_lints || degree < kBankConflictLintDegree) return;
   // Dedup per (segment, instruction site): a hot site fires once per
   // half-warp per barrier segment, which would flood the findings list.
   const std::uint64_t key = (segment_ << 32) ^ seq;
@@ -461,7 +461,7 @@ void BlockCheckState::on_global_group(std::size_t half_warp,
                                       std::uint32_t seq,
                                       std::uint32_t transactions) {
   const CheckConfig& config = checker_->config();
-  if (!config.perf_lints || transactions < config.uncoalesced_threshold) {
+  if (!config.perf_lints || transactions < kUncoalescedLintSegments) {
     return;
   }
   const std::uint64_t key = (segment_ << 32) ^ seq;

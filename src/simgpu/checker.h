@@ -28,9 +28,9 @@
 //
 // plus advisory perf lints (never fatal, never affect exit codes):
 //  * bank-conflict hotspots — a half-warp shared access whose serialized
-//    degree meets CheckConfig::bank_conflict_threshold;
+//    degree meets kBankConflictLintDegree;
 //  * uncoalesced sweeps — a half-warp global access touching at least
-//    CheckConfig::uncoalesced_threshold distinct 64-byte segments.
+//    kUncoalescedLintSegments distinct 64-byte segments.
 //
 // Findings are collected per block and merged in ascending block order,
 // so serial and parallel engines produce bit-identical CheckReports (the
@@ -123,11 +123,13 @@ struct CheckConfig {
     kCollect,  // accumulate across launches; caller inspects report()
   };
   Mode mode = Mode::kThrow;
-  // Advisory perf lints on/off and their trigger thresholds.
+  // Advisory perf lints on/off.
   bool perf_lints = true;
-  std::uint64_t bank_conflict_threshold = 8;
-  std::uint64_t uncoalesced_threshold = 16;
 };
+
+// Trigger thresholds of the advisory perf lints.
+inline constexpr std::uint64_t kBankConflictLintDegree = 8;
+inline constexpr std::uint64_t kUncoalescedLintSegments = 16;
 
 // Caps on stored findings (event *counts* are never capped).
 inline constexpr std::size_t kMaxFindingsPerLaunch = 64;

@@ -23,7 +23,6 @@ void FaultPlan::validate() const {
     EXTNC_CHECK(p >= 0.0 && p <= 1.0);
   }
   EXTNC_CHECK(hang_stall_factor >= 1.0);
-  EXTNC_CHECK(flips_per_fault >= 1);
   for (const auto& [index, fault] : scripted) {
     (void)index;
     EXTNC_CHECK(fault != FaultClass::kNone);
@@ -168,7 +167,7 @@ double FaultInjector::time_multiplier(FaultClass fault) const {
   return fault == FaultClass::kHang ? plan_.hang_stall_factor : 1.0;
 }
 
-// A bit-flip fault flips plan_.flips_per_fault random bits; a hang fault
+// A bit-flip fault flips kFlipsPerFault random bits; a hang fault
 // (the watchdog killed the kernel mid-flight) scribbles over a random
 // suffix of one region — partial output, as real aborted kernels leave.
 void FaultInjector::damage_regions(FaultClass fault) {
@@ -177,7 +176,7 @@ void FaultInjector::damage_regions(FaultClass fault) {
     return;
   }
   if (fault == FaultClass::kBitFlip) {
-    for (int f = 0; f < plan_.flips_per_fault; ++f) {
+    for (int f = 0; f < kFlipsPerFault; ++f) {
       auto& region = regions_[rng_.next_below(regions_.size())];
       region[rng_.next_below(region.size())] ^=
           static_cast<std::uint8_t>(1u << rng_.next_below(8));

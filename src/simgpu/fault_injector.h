@@ -53,6 +53,9 @@ enum class FaultClass {
 
 const char* fault_class_name(FaultClass fault);
 
+// Bits flipped per bit-flip fault (spread over the watched regions).
+inline constexpr int kFlipsPerFault = 3;
+
 // Thrown by Launcher::launch when an injected fault makes the launch fail
 // outright (kLaunchFailure, kDeviceLost). Hang and bit-flip faults do NOT
 // throw — those complete "normally" and only detection (watchdog, output
@@ -82,8 +85,6 @@ struct FaultPlan {
 
   // Hang launches consume this multiple of their normal modeled time.
   double hang_stall_factor = 1e6;
-  // Bits flipped per bit-flip fault (spread over the watched regions).
-  int flips_per_fault = 3;
 
   bool any() const {
     return !scripted.empty() || p_hang > 0 || p_bit_flip > 0 ||

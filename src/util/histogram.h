@@ -2,8 +2,8 @@
 //
 // Services that report tail latency (the fleet scheduler records one
 // sample per served segment) cannot afford to buffer raw sample vectors
-// through util/stats.h — a million-session run would hold a million
-// doubles just to answer "what was p99". This type is the streaming
+// and sort them — a million-session run would hold a million doubles
+// just to answer "what was p99". This type is the streaming
 // alternative: O(1) observe into a fixed array of log-spaced buckets,
 // O(buckets) quantile extraction, and exact count/sum/min/max on the
 // side. Two histograms with the same (built-in) geometry merge by adding

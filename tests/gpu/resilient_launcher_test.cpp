@@ -383,13 +383,15 @@ class ResilientEncoderFaults : public ::testing::Test {
     return config;
   }
 
-  // Runs one supervised batch under `plan` and checks it against the
-  // reference encoder row by row.
+  // Runs one supervised batch of `count` blocks under `plan`, with the CPU
+  // fallback on a pool of `threads`, and checks it against the reference
+  // encoder row by row.
   OperationReport encode_and_check(const simgpu::FaultPlan& plan,
-                                   std::size_t count = 6) {
+                                   std::size_t count = 6,
+                                   std::size_t threads = 2) {
     simgpu::FaultInjector injector(plan);
     ResilientLauncher supervisor(config(), &injector);
-    ThreadPool pool(2);
+    ThreadPool pool(threads);
     ResilientEncoder encoder(simgpu::gtx280(), segment_, EncodeScheme::kTable5,
                              pool, supervisor);
     const CodedBatch batch = encoder.encode_batch(count, rng_);
@@ -443,12 +445,23 @@ TEST_F(ResilientEncoderFaults, LaunchFailureRetriedTransparently) {
   EXPECT_EQ(report.launch_failures, 1);
 }
 
+// The CPU fallback splits a batch across the pool, so it is checked at
+// every pool size and at batch counts below, between and above them.
+constexpr std::size_t kFallbackPools[] = {1, 2, 3, 4, 8};
+constexpr std::size_t kFallbackCounts[] = {1, 5, 64};
+
 TEST_F(ResilientEncoderFaults, DeviceLossFallsBackToCpuBitExact) {
   simgpu::FaultPlan plan;
   plan.scripted[0] = simgpu::FaultClass::kDeviceLost;
-  const OperationReport report = encode_and_check(plan);
-  EXPECT_EQ(report.path, ComputePath::kCpuFallback);
-  EXPECT_TRUE(report.device_lost);
+  for (std::size_t threads : kFallbackPools) {
+    for (std::size_t count : kFallbackCounts) {
+      SCOPED_TRACE(testing::Message()
+                   << "pool " << threads << ", count " << count);
+      const OperationReport report = encode_and_check(plan, count, threads);
+      EXPECT_EQ(report.path, ComputePath::kCpuFallback);
+      EXPECT_TRUE(report.device_lost);
+    }
+  }
 }
 
 TEST_F(ResilientEncoderFaults, PersistentCorruptionExhaustsRetriesThenCpu) {
@@ -457,10 +470,16 @@ TEST_F(ResilientEncoderFaults, PersistentCorruptionExhaustsRetriesThenCpu) {
   plan.scripted[3] = simgpu::FaultClass::kBitFlip;
   plan.scripted[5] = simgpu::FaultClass::kBitFlip;
   plan.scripted[7] = simgpu::FaultClass::kBitFlip;
-  const OperationReport report = encode_and_check(plan);
-  EXPECT_EQ(report.path, ComputePath::kCpuFallback);
-  EXPECT_EQ(report.attempts, 4);
-  EXPECT_EQ(report.corrupted_outputs, 4);
+  for (std::size_t threads : kFallbackPools) {
+    for (std::size_t count : kFallbackCounts) {
+      SCOPED_TRACE(testing::Message()
+                   << "pool " << threads << ", count " << count);
+      const OperationReport report = encode_and_check(plan, count, threads);
+      EXPECT_EQ(report.path, ComputePath::kCpuFallback);
+      EXPECT_EQ(report.attempts, 4);
+      EXPECT_EQ(report.corrupted_outputs, 4);
+    }
+  }
 }
 
 TEST_F(ResilientEncoderFaults, ScriptedBurstBackoffFollowsSimClockSchedule) {

@@ -1,8 +1,8 @@
 // Differential test across EVERY encoder implementation in the library:
 // for identical coefficient rows they must all produce identical payloads.
 // This is the single strongest guard on the reproduction's correctness —
-// seven GPU schemes, two CPU partitioning schemes, the CPU table port, the
-// hybrid splitter and the scalar reference all reduce to the same algebra.
+// seven GPU schemes, two CPU partitioning schemes, the hybrid splitter and
+// the scalar reference all reduce to the same algebra.
 #include <string>
 #include <vector>
 
@@ -10,7 +10,6 @@
 
 #include "coding/encoder.h"
 #include "cpu/cpu_encoder.h"
-#include "cpu/cpu_table_encoder.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/hybrid_encoder.h"
 #include "util/rng.h"
@@ -77,9 +76,6 @@ TEST_P(EncoderDifferential, AllImplementationsAgree) {
   check("cpu partitioned", [&](CodedBatch& b) {
     cpu::CpuEncoder(segment, pool, cpu::EncodePartitioning::kPartitionedBlock)
         .encode_into(b);
-  });
-  check("cpu table", [&](CodedBatch& b) {
-    cpu::CpuTableEncoder(segment, pool).encode_into(b);
   });
   for (gpu::EncodeScheme scheme :
        {gpu::EncodeScheme::kLoopBased, gpu::EncodeScheme::kTable0,

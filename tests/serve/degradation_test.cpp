@@ -24,14 +24,14 @@ TEST(DegradationLadder, SpikeClimbsSeveralRungsInOneUpdate) {
 }
 
 TEST(DegradationLadder, StepDownNeedsHysteresisMargin) {
-  DegradationLadder ladder;  // enter {0.5, 0.75, 0.95}, hysteresis 0.15
+  DegradationLadder ladder;  // enter {0.5, 0.75, 0.95}, kLadderHysteresis 0.15
   ladder.update(0.6);
   ASSERT_EQ(ladder.mode(), ServiceMode::kBatched);
   // Pressure below the entry threshold but inside the hysteresis band:
   // hold the rung, no flapping.
   EXPECT_EQ(ladder.update(0.45), ServiceMode::kBatched);
   EXPECT_EQ(ladder.update(0.36), ServiceMode::kBatched);
-  // Below enter[0] - hysteresis = 0.35: relax.
+  // Below enter[0] - kLadderHysteresis = 0.35: relax.
   EXPECT_EQ(ladder.update(0.34), ServiceMode::kFull);
 }
 

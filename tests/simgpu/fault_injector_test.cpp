@@ -127,7 +127,6 @@ TEST(FaultInjector, DeviceLostIsStickyUntilRestore) {
 TEST(FaultInjector, BitFlipDamagesWatchedRegion) {
   FaultPlan plan;
   plan.scripted[0] = FaultClass::kBitFlip;
-  plan.flips_per_fault = 3;
   FaultInjector injector(plan);
   std::vector<std::uint8_t> buffer(256, 0);
   injector.watch_region(buffer);
@@ -139,7 +138,8 @@ TEST(FaultInjector, BitFlipDamagesWatchedRegion) {
     flipped_bits += static_cast<std::size_t>(__builtin_popcount(byte));
   }
   EXPECT_GE(flipped_bits, 1u);
-  EXPECT_LE(flipped_bits, 3u);  // flips can collide, never multiply
+  // Flips can collide, never multiply.
+  EXPECT_LE(flipped_bits, static_cast<std::size_t>(kFlipsPerFault));
   injector.clear_regions();
 }
 

@@ -1,21 +1,32 @@
 // StreamingHistogram: bucket geometry, quantile accuracy against the
-// exact order-statistic answer from util/stats.h, and merge equivalence.
+// exact order-statistic answer, and merge equivalence.
 #include "util/histogram.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "util/metrics_registry.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace extnc {
 namespace {
 
 // Relative resolution of the bucket geometry: half a bucket either way.
 constexpr double kRelTol = 0.05;  // 2^(1/16) - 1 ~= 4.4%
+
+// Exact q-quantile of non-empty `samples`, interpolated linearly between
+// the two nearest order statistics.
+double exact_percentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const double idx = q * static_cast<double>(samples.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(idx);
+  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = idx - static_cast<double>(lo);
+  return samples[lo] * (1 - frac) + samples[hi] * frac;
+}
 
 TEST(StreamingHistogram, EmptyIsZero) {
   StreamingHistogram h;
@@ -90,7 +101,7 @@ TEST(StreamingHistogram, QuantilesTrackExactPercentilesWithinResolution) {
     h.observe(v);
   }
   for (double q : {0.10, 0.50, 0.90, 0.99, 0.999}) {
-    const double exact = percentile(samples, q);
+    const double exact = exact_percentile(samples, q);
     const double approx = h.quantile(q);
     EXPECT_NEAR(approx, exact, exact * (2 * kRelTol))
         << "q=" << q << " exact=" << exact << " approx=" << approx;
@@ -143,7 +154,7 @@ TEST(StreamingHistogram, CustomGeometryFilesAndAnswersWithinItsResolution) {
   }
   const double fine_tol = std::exp2(1.0 / 32.0) - 1;  // half a fine bucket
   for (double q : {0.50, 0.90, 0.99}) {
-    const double exact = percentile(samples, q);
+    const double exact = exact_percentile(samples, q);
     EXPECT_NEAR(h.quantile(q), exact, exact * (2 * fine_tol)) << "q=" << q;
   }
 }
