@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "coding/coded_block.h"
 #include "coding/params.h"
@@ -51,6 +52,10 @@ class CodedBatch {
     std::copy(p.begin(), p.end(), b.payload().begin());
     return b;
   }
+
+  // Hands over the count x k payload matrix, leaving the batch without
+  // payloads.
+  AlignedBuffer take_payloads() && { return std::move(payloads_); }
 
   // Total coded bytes produced (the paper's bandwidth numerator counts
   // payload bytes of generated coded blocks).

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "gf256/gf.h"
-#include "gf256/swar.h"
 #include "gpu/kernel_cost.h"
 #include "util/assert.h"
 
@@ -14,15 +13,6 @@ using simgpu::BlockCtx;
 using simgpu::ThreadCtx;
 
 namespace {
-
-// Loop-based multiply of a 4-byte word, charging the same instruction cost
-// the encode kernel charges.
-std::uint32_t mul_word_charged(ThreadCtx& thread, std::uint8_t c,
-                               std::uint32_t w) {
-  thread.count_alu(kDecodeCost.per_iteration * gf256::loop_iterations(c) +
-                   kDecodeCost.per_word);
-  return gf256::mul_byte_word(c, w);
-}
 
 std::uint32_t load_u32(const std::uint8_t* p) {
   std::uint32_t v;

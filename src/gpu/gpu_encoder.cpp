@@ -20,9 +20,6 @@ using simgpu::ThreadCtx;
 
 namespace {
 
-// Block size of the table-based kernels (one resident block per SM).
-constexpr std::size_t kTableThreads = 256;
-
 std::uintptr_t uptr(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p);
 }
@@ -57,18 +54,19 @@ void encode_block_data(const coding::Params& p, const std::uint8_t* src,
 
 }  // namespace
 
-GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
-                       const coding::Segment& segment, EncodeScheme scheme,
+GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec, coding::Params params,
+                       const std::uint8_t* rows, EncodeScheme scheme,
                        simgpu::Profiler* profiler, std::string label_prefix,
                        simgpu::FaultInjector* injector,
                        simgpu::Checker* checker)
-    : segment_(&segment),
+    : params_(params),
+      rows_(rows),
       scheme_(scheme),
       launcher_(spec),
       label_prefix_(std::move(label_prefix)) {
   launcher_.set_profiler(profiler);
   launcher_.set_fault_injector(injector);
-  const coding::Params& p = segment.params();
+  const coding::Params& p = params_;
   EXTNC_CHECK(p.k % 4 == 0);  // GPU kernels operate on 32-bit words
   const gf256::Tables& t = gf256::tables();
 
@@ -96,11 +94,15 @@ GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
       }
     }
   }
-  // Attach before the construction-time preprocessing launch so it runs
-  // checked too.
-  attach_checker(checker);
+  // Sec. 5.1.1 step (1): the segment to the log domain, one thread per
+  // word. Attach before the launch so it runs checked too.
   if (scheme_is_preprocessed(scheme_)) {
-    preprocess_segment();
+    log_segment_ = AlignedBuffer(p.segment_bytes());
+  }
+  attach_checker(checker);
+  if (!log_segment_.empty()) {
+    transform("preprocess_segment", rows_, log_segment_.data(),
+              p.segment_bytes() / 4, 4);
   }
 
   // The table-scheme fast-path accounting is a function of the immutable
@@ -113,14 +115,21 @@ GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
       table_load_ = table_load_model(spec, scheme_, kTableThreads).counters;
     }
     if (table_lookups_apply(scheme_, p.k, kTableThreads, half)) {
-      table_lookups_ = table_lookups(spec, scheme_,
-                                     scheme_is_preprocessed(scheme_)
-                                         ? log_segment_.data()
-                                         : segment_->data(),
-                                     p.n, p.k);
+      table_lookups_ =
+          table_lookups(spec, scheme_,
+                        log_segment_.empty() ? rows_ : log_segment_.data(),
+                        p.n, p.k);
     }
   }
 }
+
+GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
+                       const coding::Segment& segment, EncodeScheme scheme,
+                       simgpu::Profiler* profiler, std::string label_prefix,
+                       simgpu::FaultInjector* injector,
+                       simgpu::Checker* checker)
+    : GpuEncoder(spec, segment.params(), segment.data(), scheme, profiler,
+                 std::move(label_prefix), injector, checker) {}
 
 void GpuEncoder::attach_profiler(simgpu::Profiler* profiler,
                                  std::string label_prefix) {
@@ -128,49 +137,21 @@ void GpuEncoder::attach_profiler(simgpu::Profiler* profiler,
   label_prefix_ = std::move(label_prefix);
 }
 
-GpuEncoder::~GpuEncoder() { unwatch_all(); }
-
-void GpuEncoder::unwatch_all() {
-  if (checker_ == nullptr) return;
-  checker_->unwatch_global(segment_->data());
-  checker_->unwatch_global(exp_table_bytes_.data());
-  if (!log_table_bytes_.empty()) {
-    checker_->unwatch_global(log_table_bytes_.data());
-  }
-  if (!exp_table_words_.empty()) {
-    checker_->unwatch_global(exp_table_words_.data());
-  }
-  if (!log_segment_.empty()) {
-    checker_->unwatch_global(log_segment_.data());
-  }
-  if (!log_coefficients_.empty()) {
-    checker_->unwatch_global(log_coefficients_.data());
-  }
-}
-
 void GpuEncoder::attach_checker(simgpu::Checker* checker) {
-  if (checker_ != nullptr && checker != checker_) unwatch_all();
+  watches_.clear();
   checker_ = checker;
   launcher_.set_checker(checker);
   if (checker == nullptr) return;
   // Steady-state device buffers; per-batch buffers are registered by the
   // call that allocates or receives them.
-  const coding::Params& p = params();
-  checker->watch_global(segment_->data(), p.segment_bytes(), "segment");
-  checker->watch_global(exp_table_bytes_.data(), exp_table_bytes_.size(),
-                        "exp_table");
-  if (!log_table_bytes_.empty()) {
-    checker->watch_global(log_table_bytes_.data(), log_table_bytes_.size(),
-                          "log_table");
-  }
-  if (!exp_table_words_.empty()) {
-    checker->watch_global(exp_table_words_.data(), exp_table_words_.size(),
-                          "exp_table_words");
-  }
-  if (!log_segment_.empty()) {
-    checker->watch_global(log_segment_.data(), log_segment_.size(),
-                          "log_segment");
-  }
+  auto watch = [&](const void* base, std::size_t size, const char* name) {
+    if (size > 0) watches_.emplace_back(checker, base, size, name);
+  };
+  watch(rows_, params_.segment_bytes(), "segment");
+  watch(exp_table_bytes_.data(), exp_table_bytes_.size(), "exp_table");
+  watch(log_table_bytes_.data(), log_table_bytes_.size(), "log_table");
+  watch(exp_table_words_.data(), exp_table_words_.size(), "exp_table_words");
+  watch(log_segment_.data(), log_segment_.size(), "log_segment");
 }
 
 void GpuEncoder::set_launch_label(const char* kernel) {
@@ -203,126 +184,106 @@ void GpuEncoder::encode_into(coding::CodedBatch& batch) {
       "batch.coefficients");
   simgpu::Checker::ScopedWatch watch_payloads(
       checker_, batch.payloads_data(), batch.count() * p.k, "batch.payloads");
+  // Sec. 5.1.1 step (2): the coefficient matrix to the log domain, one
+  // thread per byte.
+  AlignedBuffer log_coefficients;
+  simgpu::Checker::ScopedWatch watch_log_coeffs;
   if (scheme_is_preprocessed(scheme_)) {
-    preprocess_coefficients(batch);
+    log_coefficients = AlignedBuffer(batch.count() * p.n);
+    watch_log_coeffs = simgpu::Checker::ScopedWatch(
+        checker_, log_coefficients.data(), log_coefficients.size(),
+        "log_coefficients");
+    transform("preprocess_coeffs", batch.coefficients_data(),
+              log_coefficients.data(), log_coefficients.size(), 1);
   }
+
+  // The encode launch reads accounting-domain bytes: the log domain for the
+  // preprocessed schemes, natural bytes for loop and tb0.
+  const std::size_t total_words = batch.count() * (p.k / 4);
+  const LaunchGeometry geometry =
+      encode_geometry(launcher_.spec(), scheme_, total_words);
+  const std::uint8_t* src = log_segment_.empty() ? rows_ : log_segment_.data();
+  const std::uint8_t* coeffs = log_coefficients.empty()
+                                   ? batch.coefficients_data()
+                                   : log_coefficients.data();
+  const EncodeWalk walk{
+      .scheme = scheme_,
+      .n = p.n,
+      .k = p.k,
+      .total_words = total_words,
+      .threads = geometry.threads,
+      .stride = geometry.blocks * geometry.threads,
+      .half = static_cast<std::size_t>(launcher_.spec().half_warp),
+      .src = src,
+      .coeffs = coeffs,
+      .src_addr = uptr(src),
+      .coeff_addr = uptr(coeffs),
+      .out_addr = uptr(batch.payloads_data()),
+      .tex_addr = uptr(exp_table_bytes_.data()),
+      .lookups = table_lookups_ ? &*table_lookups_ : nullptr};
   launcher_.reset_metrics();
   if (scheme_ == EncodeScheme::kLoopBased) {
-    run_loop_based(batch);
+    run_loop_based(batch, geometry, walk);
   } else {
-    run_table_based(batch);
+    run_table_based(batch, geometry, walk);
   }
   encode_metrics_.merge(launcher_.metrics());
 }
 
-// Sec. 5.1.1 step (1): transform the segment to the log domain, one thread
-// per 32-bit word, reading through the shared log table.
-void GpuEncoder::preprocess_segment() {
-  const coding::Params& p = params();
-  log_segment_ = AlignedBuffer(p.segment_bytes());
-  if (checker_ != nullptr) {
-    checker_->watch_global(log_segment_.data(), log_segment_.size(),
-                           "log_segment");
-  }
+// The log-domain transform (Sec. 5.1.1): one thread per element of
+// `element_bytes` bytes, each byte read through the shared log table.
+void GpuEncoder::transform(const char* kernel, const std::uint8_t* src,
+                           std::uint8_t* dst, std::size_t elements,
+                           std::size_t element_bytes) {
   const gf256::Tables& t = gf256::tables();
-  const bool shifted = scheme_uses_shifted_log(scheme_);
-  const std::uint8_t* log_table = shifted ? t.log_shifted : t.log;
+  const std::uint8_t* log_table =
+      scheme_uses_shifted_log(scheme_) ? t.log_shifted : t.log;
+  const LaunchGeometry geometry =
+      transform_geometry(launcher_.spec(), elements);
+  const std::size_t threads = geometry.threads;
+  const std::size_t stride = geometry.blocks * threads;
 
-  const std::size_t words = p.segment_bytes() / 4;
-  const std::size_t threads = 256;
-  const std::size_t blocks = std::min<std::size_t>(
-      launcher_.spec().num_sms, (words + threads - 1) / threads);
-  const std::uint8_t* src = segment_->data();
-  std::uint8_t* dst = log_segment_.data();
-
-  set_launch_label("preprocess_segment");
+  set_launch_label(kernel);
   launcher_.reset_metrics();
   simgpu::FastBlockTally tally;
   launcher_.launch(
-      {.blocks = blocks, .threads_per_block = threads},
+      {.blocks = geometry.blocks, .threads_per_block = threads},
       [&](BlockCtx& block) {
-        const std::size_t stride = blocks * threads;
         if (block.fast_path()) {
           tally.lowered();
           BlockSink sink(block);
-          preprocess_block_walk(sink, block.block_index(), words, 4, threads,
-                                stride, block.spec().half_warp, uptr(src),
-                                uptr(dst));
+          preprocess_block_walk(sink, block.block_index(), elements,
+                                element_bytes, threads, stride,
+                                block.spec().half_warp, uptr(src), uptr(dst));
           for (std::size_t base = block.block_index() * threads;
-               base < words; base += stride) {
-            const std::size_t end = std::min(base + threads, words) * 4;
-            for (std::size_t x = base * 4; x < end; ++x) {
+               base < elements; base += stride) {
+            const std::size_t end =
+                std::min(base + threads, elements) * element_bytes;
+            for (std::size_t x = base * element_bytes; x < end; ++x) {
               dst[x] = log_table[src[x]];
             }
           }
           return;
         }
         block.step([&](ThreadCtx& thread) {
-          for (std::size_t w = block.block_index() * threads + thread.lane();
-               w < words; w += stride) {
-            std::uint32_t in = thread.gload_u32(src + w * 4);
+          for (std::size_t e = block.block_index() * threads + thread.lane();
+               e < elements; e += stride) {
+            const std::uint8_t* in_addr = src + e * element_bytes;
+            const std::uint32_t in = element_bytes == 4
+                                         ? thread.gload_u32(in_addr)
+                                         : thread.gload_u8(in_addr);
             std::uint32_t out = 0;
-            for (int b = 0; b < 4; ++b) {
+            for (std::size_t b = 0; b < element_bytes; ++b) {
               const auto byte = static_cast<std::uint8_t>(in >> (8 * b));
               out |= static_cast<std::uint32_t>(log_table[byte]) << (8 * b);
               thread.count_alu(kPreprocessPerByte);
             }
-            thread.gstore_u32(dst + w * 4, out);
-          }
-        });
-      });
-  preprocess_metrics_.merge(launcher_.metrics());
-}
-
-// Sec. 5.1.1 step (2): coefficient matrix to the log domain.
-void GpuEncoder::preprocess_coefficients(const coding::CodedBatch& batch) {
-  const coding::Params& p = params();
-  const std::size_t bytes = batch.count() * p.n;
-  if (checker_ != nullptr && !log_coefficients_.empty()) {
-    checker_->unwatch_global(log_coefficients_.data());  // being reallocated
-  }
-  log_coefficients_ = AlignedBuffer(bytes);
-  if (checker_ != nullptr) {
-    checker_->watch_global(log_coefficients_.data(), log_coefficients_.size(),
-                           "log_coefficients");
-  }
-  const gf256::Tables& t = gf256::tables();
-  const bool shifted = scheme_uses_shifted_log(scheme_);
-  const std::uint8_t* log_table = shifted ? t.log_shifted : t.log;
-  const std::uint8_t* src = batch.coefficients_data();
-  std::uint8_t* dst = log_coefficients_.data();
-
-  const std::size_t threads = 256;
-  const std::size_t blocks = std::min<std::size_t>(
-      launcher_.spec().num_sms, (bytes + threads - 1) / threads);
-  set_launch_label("preprocess_coeffs");
-  launcher_.reset_metrics();
-  simgpu::FastBlockTally tally;
-  launcher_.launch(
-      {.blocks = blocks, .threads_per_block = threads},
-      [&](BlockCtx& block) {
-        const std::size_t stride = blocks * threads;
-        if (block.fast_path()) {
-          tally.lowered();
-          BlockSink sink(block);
-          preprocess_block_walk(sink, block.block_index(), bytes, 1, threads,
-                                stride, block.spec().half_warp, uptr(src),
-                                uptr(dst));
-          for (std::size_t base = block.block_index() * threads;
-               base < bytes; base += stride) {
-            const std::size_t end = std::min(base + threads, bytes);
-            for (std::size_t x = base; x < end; ++x) {
-              dst[x] = log_table[src[x]];
+            std::uint8_t* out_addr = dst + e * element_bytes;
+            if (element_bytes == 4) {
+              thread.gstore_u32(out_addr, out);
+            } else {
+              thread.gstore_u8(out_addr, static_cast<std::uint8_t>(out));
             }
-          }
-          return;
-        }
-        block.step([&](ThreadCtx& thread) {
-          for (std::size_t i = block.block_index() * threads + thread.lane();
-               i < bytes; i += stride) {
-            const std::uint8_t c = thread.gload_u8(src + i);
-            thread.count_alu(kPreprocessPerByte);
-            thread.gstore_u8(dst + i, log_table[c]);
           }
         });
       });
@@ -330,31 +291,18 @@ void GpuEncoder::preprocess_coefficients(const coding::CodedBatch& batch) {
 }
 
 // Fig. 2 partitioning: thread blocks of 256, one thread per output word.
-void GpuEncoder::run_loop_based(coding::CodedBatch& batch) {
+void GpuEncoder::run_loop_based(coding::CodedBatch& batch,
+                                const LaunchGeometry& geometry,
+                                const EncodeWalk& walk) {
   const coding::Params p = params();
   const std::size_t words_per_block = p.k / 4;
-  const std::size_t total_words = batch.count() * words_per_block;
-  const std::size_t threads = std::min<std::size_t>(256, total_words);
-  const std::size_t blocks = (total_words + threads - 1) / threads;
+  const std::size_t total_words = walk.total_words;
+  const std::size_t threads = geometry.threads;
+  const std::size_t blocks = geometry.blocks;
   const EncodeCost cost = encode_cost(scheme_);
-
-  const std::uint8_t* src = segment_->data();
-  const std::uint8_t* coeffs = batch.coefficients_data();
+  const std::uint8_t* src = walk.src;
+  const std::uint8_t* coeffs = walk.coeffs;
   std::uint8_t* out = batch.payloads_data();
-
-  const EncodeWalk walk{.scheme = scheme_,
-                        .n = p.n,
-                        .k = p.k,
-                        .total_words = total_words,
-                        .threads = threads,
-                        .stride = blocks * threads,
-                        .half = static_cast<std::size_t>(
-                            launcher_.spec().half_warp),
-                        .src = src,
-                        .coeffs = coeffs,
-                        .src_addr = uptr(src),
-                        .coeff_addr = uptr(coeffs),
-                        .out_addr = uptr(out)};
 
   set_launch_label("mul_loop");
   simgpu::FastBlockTally tally;
@@ -397,40 +345,20 @@ void GpuEncoder::run_loop_based(coding::CodedBatch& batch) {
 
 // Sec. 5.1.2 partitioning: one resident block per SM striding over words,
 // tables loaded into shared memory once per block.
-void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
+void GpuEncoder::run_table_based(coding::CodedBatch& batch,
+                                 const LaunchGeometry& geometry,
+                                 const EncodeWalk& walk) {
   const coding::Params p = params();
   const std::size_t words_per_block = p.k / 4;
-  const std::size_t total_words = batch.count() * words_per_block;
-  const std::size_t threads = kTableThreads;
-  const std::size_t blocks =
-      std::min<std::size_t>(launcher_.spec().num_sms,
-                            (total_words + threads - 1) / threads);
+  const std::size_t total_words = walk.total_words;
+  const std::size_t threads = geometry.threads;
+  const std::size_t blocks = geometry.blocks;
   const EncodeCost cost = encode_cost(scheme_);
-  const bool preprocessed = scheme_is_preprocessed(scheme_);
-  const std::uint8_t* src = preprocessed ? log_segment_.data()
-                                         : segment_->data();
-  const std::uint8_t* coeffs = preprocessed ? log_coefficients_.data()
-                                            : batch.coefficients_data();
+  const std::uint8_t* src = walk.src;
+  const std::uint8_t* coeffs = walk.coeffs;
   std::uint8_t* out = batch.payloads_data();
   const bool shifted = scheme_uses_shifted_log(scheme_);
   const std::uint8_t sentinel = shifted ? 0x00 : gf256::kLogZero;
-
-  const EncodeWalk walk{.scheme = scheme_,
-                        .n = p.n,
-                        .k = p.k,
-                        .total_words = total_words,
-                        .threads = threads,
-                        .stride = blocks * threads,
-                        .half = static_cast<std::size_t>(
-                            launcher_.spec().half_warp),
-                        .src = src,
-                        .coeffs = coeffs,
-                        .src_addr = uptr(src),
-                        .coeff_addr = uptr(coeffs),
-                        .out_addr = uptr(out),
-                        .tex_addr = uptr(exp_table_bytes_.data()),
-                        .lookups = table_lookups_ ? &*table_lookups_
-                                                  : nullptr};
 
   // The exp lookup's home names the kernel: texture for TB-4, shared
   // memory (replicated for TB-5) otherwise.
@@ -452,7 +380,7 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
             sink.bind_texture(walk.tex_addr, kExpTableEntries);
           }
           encode_block_walk(sink, walk, block.block_index());
-          encode_block_data(p, segment_->data(), batch.coefficients_data(),
+          encode_block_data(p, rows_, batch.coefficients_data(),
                             out, total_words, threads, walk.stride,
                             block.block_index());
           return;

@@ -9,15 +9,17 @@
 //
 // Preprocessing (Sec. 5.1.1): for the preprocessed schemes the segment is
 // transformed to the log domain once at construction, and each batch's
-// coefficient matrix is transformed before the encode kernel runs; both
-// transforms are themselves simulated kernels whose costs are kept in a
-// separate metrics bucket so benches can amortize them the way the
-// streaming-server scenario does.
+// coefficient matrix is transformed before the encode kernel runs. Both are
+// launches of one simulated transform kernel (over the segment's words and
+// over the coefficient bytes) whose costs are kept in a separate metrics
+// bucket so benches can amortize them the way the streaming-server scenario
+// does.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "coding/batch.h"
 #include "coding/segment.h"
@@ -41,24 +43,31 @@ class GpuEncoder {
   // kernel sanitizer with the encoder's device buffers registered as
   // watched global regions, so OOB accesses become findings instead of
   // silent reads; in throw mode launches can throw simgpu::CheckError.
+  //
+  // The encoder borrows its n x k source rows: `rows` must stay valid and
+  // unchanged for the encoder's lifetime. The multi-segment decoder binds
+  // a batch's coded payloads this way.
+  GpuEncoder(const simgpu::DeviceSpec& spec, coding::Params params,
+             const std::uint8_t* rows, EncodeScheme scheme,
+             simgpu::Profiler* profiler = nullptr,
+             std::string label_prefix = "encode",
+             simgpu::FaultInjector* injector = nullptr,
+             simgpu::Checker* checker = nullptr);
   GpuEncoder(const simgpu::DeviceSpec& spec, const coding::Segment& segment,
              EncodeScheme scheme, simgpu::Profiler* profiler = nullptr,
              std::string label_prefix = "encode",
              simgpu::FaultInjector* injector = nullptr,
              simgpu::Checker* checker = nullptr);
 
-  // Unregisters this encoder's watched regions from an attached checker,
-  // so short-lived encoders (the multi-segment decoder's stage-2
-  // multipliers) leave a shared checker's region table clean.
-  ~GpuEncoder();
-
   // Attach after construction (misses the segment-preprocess launches that
   // already ran; prefer the constructor argument when those matter).
   void attach_profiler(simgpu::Profiler* profiler,
                        std::string label_prefix = "encode");
+  // The encoder's steady-state device buffers stay watched by `checker`
+  // until it is replaced or the encoder is destroyed.
   void attach_checker(simgpu::Checker* checker);
 
-  const coding::Params& params() const { return segment_->params(); }
+  const coding::Params& params() const { return params_; }
   EncodeScheme scheme() const { return scheme_; }
   const simgpu::DeviceSpec& spec() const { return launcher_.spec(); }
 
@@ -84,14 +93,18 @@ class GpuEncoder {
   void reset_metrics();
 
  private:
-  void preprocess_segment();
-  void preprocess_coefficients(const coding::CodedBatch& batch);
-  void run_loop_based(coding::CodedBatch& batch);
-  void run_table_based(coding::CodedBatch& batch);
+  void transform(const char* kernel, const std::uint8_t* src,
+                 std::uint8_t* dst, std::size_t elements,
+                 std::size_t element_bytes);
+  void run_loop_based(coding::CodedBatch& batch,
+                      const LaunchGeometry& geometry, const EncodeWalk& walk);
+  void run_table_based(coding::CodedBatch& batch,
+                       const LaunchGeometry& geometry,
+                       const EncodeWalk& walk);
   void set_launch_label(const char* kernel);
-  void unwatch_all();
 
-  const coding::Segment* segment_;
+  coding::Params params_;
+  const std::uint8_t* rows_;  // borrowed n x k source rows
   EncodeScheme scheme_;
   simgpu::Launcher launcher_;
   simgpu::Checker* checker_ = nullptr;
@@ -101,10 +114,11 @@ class GpuEncoder {
 
   // Device-resident data.
   AlignedBuffer log_segment_;      // segment in log domain (preprocessed)
-  AlignedBuffer log_coefficients_; // batch coefficients in log domain
   AlignedBuffer exp_table_bytes_;  // 512-entry exp (plain or shifted)
   AlignedBuffer log_table_bytes_;  // 256-entry log (kTable0 only)
   AlignedBuffer exp_table_words_;  // 8 interleaved word tables (kTable5)
+  // checker_'s registrations of the buffers above and of the source rows.
+  std::vector<simgpu::Checker::ScopedWatch> watches_;
 
   // Built in the constructor for the table schemes and valid for the
   // encoder's lifetime (the accounting-domain segment never changes):

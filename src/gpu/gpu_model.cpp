@@ -164,8 +164,8 @@ KernelMetrics analytic_multiply_metrics(const simgpu::DeviceSpec& spec,
                                         std::size_t segments) {
   // Stage 2 reuses the table-based-5 encode kernel (see
   // GpuMultiSegmentDecoder::multiply_stage): per segment, n "coded blocks"
-  // whose coefficients are the rows of C^-1, with the coded payloads
-  // preprocessed to the log domain as pseudo-source blocks.
+  // whose coefficients are the rows of C^-1, over the coded payloads bound
+  // in place as source rows and preprocessed to the log domain.
   return scaled_encode_metrics(spec, EncodeScheme::kTable5, params,
                                /*coded_blocks=*/segments * params.n,
                                /*include_preprocessing=*/true, segments);

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "gf256/gf.h"
-#include "gf256/swar.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/kernel_cost.h"
 #include "gpu/kernel_walks.h"
@@ -14,17 +13,6 @@ namespace extnc::gpu {
 
 using simgpu::BlockCtx;
 using simgpu::ThreadCtx;
-
-namespace {
-
-std::uint32_t mul_word_charged(ThreadCtx& thread, std::uint8_t c,
-                               std::uint32_t w) {
-  thread.count_alu(kDecodeCost.per_iteration * gf256::loop_iterations(c) +
-                   kDecodeCost.per_word);
-  return gf256::mul_byte_word(c, w);
-}
-
-}  // namespace
 
 GpuMultiSegmentDecoder::GpuMultiSegmentDecoder(const simgpu::DeviceSpec& spec,
                                                coding::Params params)
@@ -51,12 +39,22 @@ std::vector<coding::Segment> GpuMultiSegmentDecoder::decode_all(
     EXTNC_CHECK(batch.params() == params_);
     EXTNC_CHECK(batch.count() == params_.n);
   }
-  std::vector<coding::Segment> out(batches.size());
+  std::vector<coding::Segment> out;
   if (batches.empty()) return out;
 
-  std::vector<AlignedBuffer> inverses;
-  invert_stage(batches, inverses);
-  multiply_stage(batches, inverses, out);
+  // Row r of segment s's C^-1 becomes coefficient row r of products[s],
+  // whose payloads stage 2 fills with the decoded source blocks.
+  std::vector<coding::CodedBatch> products;
+  products.reserve(batches.size());
+  for (std::size_t s = 0; s < batches.size(); ++s) {
+    products.emplace_back(params_, params_.n);
+  }
+  invert_stage(batches, products);
+  multiply_stage(batches, products);
+  out.reserve(products.size());
+  for (coding::CodedBatch& product : products) {
+    out.emplace_back(params_, std::move(product).take_payloads());
+  }
   return out;
 }
 
@@ -66,28 +64,19 @@ std::vector<coding::Segment> GpuMultiSegmentDecoder::decode_all(
 // serial backbone.
 void GpuMultiSegmentDecoder::invert_stage(
     const std::vector<coding::CodedBatch>& batches,
-    std::vector<AlignedBuffer>& inverses) {
+    std::vector<coding::CodedBatch>& products) {
   const std::size_t n = params_.n;
   const std::size_t s = batches.size();
   const std::size_t row_bytes = 2 * n;
   const std::size_t row_words = row_bytes / 4;
-  // Only the column loop is serial: within a column, the eliminations of
-  // all n-1 other rows are independent, so the block parallelizes over
-  // (row, word) pairs and runs with a full complement of threads.
-  const std::size_t threads = std::min<std::size_t>(
-      n * row_words,
-      static_cast<std::size_t>(launcher_.spec().max_threads_per_block));
+  const LaunchGeometry geometry = invert_geometry(launcher_.spec(), n, s);
+  const std::size_t threads = geometry.threads;
 
   // Augmented working matrices, one per segment.
   std::vector<AlignedBuffer> work;
   work.reserve(s);
   for (const auto& batch : batches) {
-    AlignedBuffer aug(n * row_bytes);
-    for (std::size_t r = 0; r < n; ++r) {
-      std::memcpy(aug.data() + r * row_bytes, batch.coefficients(r).data(), n);
-      aug[r * row_bytes + n + r] = 1;
-    }
-    work.push_back(std::move(aug));
+    work.push_back(augmented_identity(batch.coefficients_data(), n));
   }
 
   // Under the sanitizer: the working matrices are this stage's only
@@ -105,7 +94,7 @@ void GpuMultiSegmentDecoder::invert_stage(
   launcher_.reset_metrics();
   simgpu::FastBlockTally tally;
   launcher_.launch(
-      {.blocks = s,
+      {.blocks = geometry.blocks,
        .threads_per_block = threads,
        .shape = {.partial_counts = {1}}},
       [&](BlockCtx& block) {
@@ -192,16 +181,12 @@ void GpuMultiSegmentDecoder::invert_stage(
       });
   stage1_.merge(launcher_.metrics());
 
-  // Extract C^-1 (right halves).
-  inverses.clear();
-  inverses.reserve(s);
+  // C^-1 (the right halves) into the products' coefficient rows.
   for (std::size_t seg = 0; seg < s; ++seg) {
-    AlignedBuffer inverse(n * n);
     for (std::size_t r = 0; r < n; ++r) {
-      std::memcpy(inverse.data() + r * n,
+      std::memcpy(products[seg].coefficients(r).data(),
                   work[seg].data() + r * row_bytes + n, n);
     }
-    inverses.push_back(std::move(inverse));
   }
 }
 
@@ -209,33 +194,18 @@ void GpuMultiSegmentDecoder::invert_stage(
 // similar to the encoding process of Eq. 1" (Sec. 5.2), so it reuses the
 // best encode kernel (table-based-5 with log-domain preprocessing): row r
 // of C^-1 plays the role of a coefficient vector and the collected coded
-// payloads x play the role of source blocks. This is what lets decoding
-// approach the encoding rate at large block sizes (254 vs 294 MB/s at
-// n = 128 in the paper).
+// payloads x, bound in place, play the role of source blocks. This is what
+// lets decoding approach the encoding rate at large block sizes (254 vs 294
+// MB/s at n = 128 in the paper).
 void GpuMultiSegmentDecoder::multiply_stage(
     const std::vector<coding::CodedBatch>& batches,
-    const std::vector<AlignedBuffer>& inverses,
-    std::vector<coding::Segment>& out) {
-  const std::size_t n = params_.n;
-  const std::size_t k = params_.k;
+    std::vector<coding::CodedBatch>& products) {
   for (std::size_t seg = 0; seg < batches.size(); ++seg) {
-    // The coded payload matrix x as a pseudo-segment of n blocks.
-    coding::Segment payload_segment = coding::Segment::from_bytes(
-        params_, std::span(batches[seg].payloads_data(), n * k));
-    GpuEncoder multiplier(launcher_.spec(), payload_segment,
-                          EncodeScheme::kTable5, profiler_,
-                          "decode/multiseg/stage2",
+    GpuEncoder multiplier(launcher_.spec(), params_,
+                          batches[seg].payloads_data(), EncodeScheme::kTable5,
+                          profiler_, "decode/multiseg/stage2",
                           launcher_.fault_injector(), launcher_.checker());
-    coding::CodedBatch product(params_, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      std::memcpy(product.coefficients(r).data(),
-                  inverses[seg].data() + r * n, n);
-    }
-    multiplier.encode_into(product);
-    out[seg] = coding::Segment(params_);
-    for (std::size_t r = 0; r < n; ++r) {
-      std::memcpy(out[seg].block(r).data(), product.payload(r).data(), k);
-    }
+    multiplier.encode_into(products[seg]);
     stage2_.merge(multiplier.encode_metrics());
     stage2_.merge(multiplier.preprocess_metrics());
   }

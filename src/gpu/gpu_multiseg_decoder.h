@@ -53,11 +53,12 @@ class GpuMultiSegmentDecoder {
   void attach_profiler(simgpu::Profiler* profiler);
 
  private:
+  // Stage 1 writes each C^-1 into its product's coefficient rows; stage 2
+  // fills the products' payloads.
   void invert_stage(const std::vector<coding::CodedBatch>& batches,
-                    std::vector<AlignedBuffer>& inverses);
+                    std::vector<coding::CodedBatch>& products);
   void multiply_stage(const std::vector<coding::CodedBatch>& batches,
-                      const std::vector<AlignedBuffer>& inverses,
-                      std::vector<coding::Segment>& out);
+                      std::vector<coding::CodedBatch>& products);
 
   coding::Params params_;
   simgpu::Launcher launcher_;

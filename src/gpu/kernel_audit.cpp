@@ -201,13 +201,9 @@ StaticKernelModel encode_model(const simgpu::DeviceSpec& spec,
   const bool tb4 = scheme == EncodeScheme::kTable4;
   const bool tb5 = scheme == EncodeScheme::kTable5;
   const std::size_t total_words = count * (p.k / 4);
-  // The launch geometry of GpuEncoder::run_loop_based / run_table_based.
-  const std::size_t threads =
-      loop ? std::min<std::size_t>(256, total_words) : 256;
-  const std::size_t blocks =
-      loop ? (total_words + threads - 1) / threads
-           : std::min<std::size_t>(static_cast<std::size_t>(spec.num_sms),
-                                   (total_words + threads - 1) / threads);
+  const LaunchGeometry geometry = encode_geometry(spec, scheme, total_words);
+  const std::size_t threads = geometry.threads;
+  const std::size_t blocks = geometry.blocks;
 
   StaticKernelModel model;
   model.kernel = std::string("encode/") + scheme_label(scheme) + "/" +
@@ -339,10 +335,9 @@ StaticKernelModel preprocess_model(const simgpu::DeviceSpec& spec,
                                    std::size_t element_bytes,
                                    const char* src_name,
                                    const char* dst_name) {
-  const std::size_t threads = 256;
-  const std::size_t blocks = std::min<std::size_t>(
-      static_cast<std::size_t>(spec.num_sms),
-      (elements + threads - 1) / threads);
+  const LaunchGeometry geometry = transform_geometry(spec, elements);
+  const std::size_t threads = geometry.threads;
+  const std::size_t blocks = geometry.blocks;
 
   StaticKernelModel model;
   model.kernel = kernel;
@@ -394,17 +389,10 @@ StaticKernelModel invert_kernel_model(const simgpu::DeviceSpec& spec,
   EXTNC_CHECK(segments >= 1);
   EXTNC_CHECK(matrix.size() == n * n);
   const std::size_t row_bytes = 2 * n;
-  const std::size_t threads = std::min<std::size_t>(
-      n * (row_bytes / 4),
-      static_cast<std::size_t>(spec.max_threads_per_block));
+  const LaunchGeometry geometry = invert_geometry(spec, n, segments);
+  const std::size_t threads = geometry.threads;
 
-  // Augmented working copy [C | I], as invert_stage builds it.
-  std::vector<std::uint8_t> aug(n * row_bytes, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    std::copy(matrix.begin() + r * n, matrix.begin() + (r + 1) * n,
-              aug.begin() + r * row_bytes);
-    aug[r * row_bytes + n + r] = 1;
-  }
+  AlignedBuffer aug = augmented_identity(matrix.data(), n);
   ModelSink pivot(spec, "pivot_search");
   ModelSink rows(spec, "row_ops");
   invert_block_walk(pivot, rows, aug.data(), n, threads,
@@ -412,7 +400,7 @@ StaticKernelModel invert_kernel_model(const simgpu::DeviceSpec& spec,
 
   StaticKernelModel model;
   model.kernel = "decode/multiseg/invert";
-  model.blocks = segments;
+  model.blocks = geometry.blocks;
   model.threads_per_block = threads;
   model.shared_bytes = n;  // staged elimination factors
   model.footprint.push_back(
@@ -572,7 +560,7 @@ AuditReport run_seeded_audit(const simgpu::DeviceSpec& spec,
       // Pick a batch size whose word count is not a thread multiple so the
       // dropped tail guard actually reaches past the buffer.
       std::size_t count = options.batch_blocks;
-      while ((count * (p.k / 4)) % 256 == 0) ++count;
+      while ((count * (p.k / 4)) % kTableThreads == 0) ++count;
       c.model = encode_kernel_model(spec, EncodeScheme::kTable3, p, count,
                                     options.assume);
       // Without the guard the tail block stores a full thread count: its

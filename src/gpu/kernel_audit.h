@@ -1,7 +1,7 @@
 // Static kernel models and the pre-launch audit for the shipped kernels.
 //
 // Each provider here derives a simgpu::StaticKernelModel for one kernel —
-// the loop encoder, the table schemes tb0-tb5, both preprocessing kernels,
+// the loop encoder, the table schemes tb0-tb5, both transform launches,
 // the multi-segment inverter and the recoder — by running the kernel's
 // accounting walk (gpu/kernel_walks.h) into a SegmentBuilder sink: the
 // same walk the fast path runs into BlockCtx, so model and fast path
@@ -205,7 +205,7 @@ struct AuditReport {
 };
 
 // Audit every shipped kernel's model against `spec`: the seven encode
-// schemes, both preprocess kernels, the inverter and the recoder. Emits
+// schemes, both transform launches, the inverter and the recoder. Emits
 // simgpu.audit.* metrics (cases, errors, advisories) via the process
 // metrics registry.
 AuditReport run_kernel_audit(const simgpu::DeviceSpec& spec,

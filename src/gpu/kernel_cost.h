@@ -17,7 +17,11 @@
 // bandwidths to the paper's numbers.
 #pragma once
 
+#include <cstdint>
+
+#include "gf256/swar.h"
 #include "gpu/encode_scheme.h"
+#include "simgpu/executor.h"
 
 namespace extnc::gpu {
 
@@ -76,5 +80,14 @@ struct DecodeCost {
 };
 
 inline constexpr DecodeCost kDecodeCost{};
+
+// The decode kernels' loop-based multiply of a 4-byte word, charging its
+// iterations and per-word cost in one count_alu call.
+inline std::uint32_t mul_word_charged(simgpu::ThreadCtx& thread,
+                                      std::uint8_t c, std::uint32_t w) {
+  thread.count_alu(kDecodeCost.per_iteration * gf256::loop_iterations(c) +
+                   kDecodeCost.per_word);
+  return gf256::mul_byte_word(c, w);
+}
 
 }  // namespace extnc::gpu

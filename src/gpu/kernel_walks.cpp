@@ -1,8 +1,49 @@
 #include "gpu/kernel_walks.h"
 
+#include <cstring>
+
 #include "simgpu/static_model.h"
 
 namespace extnc::gpu {
+
+LaunchGeometry encode_geometry(const simgpu::DeviceSpec& spec,
+                               EncodeScheme scheme, std::size_t total_words) {
+  if (scheme == EncodeScheme::kLoopBased) {
+    const std::size_t threads = std::min<std::size_t>(256, total_words);
+    return {(total_words + threads - 1) / threads, threads};
+  }
+  return {std::min<std::size_t>(
+              static_cast<std::size_t>(spec.num_sms),
+              (total_words + kTableThreads - 1) / kTableThreads),
+          kTableThreads};
+}
+
+LaunchGeometry transform_geometry(const simgpu::DeviceSpec& spec,
+                                  std::size_t elements) {
+  const std::size_t threads = 256;
+  return {std::min<std::size_t>(static_cast<std::size_t>(spec.num_sms),
+                                (elements + threads - 1) / threads),
+          threads};
+}
+
+LaunchGeometry invert_geometry(const simgpu::DeviceSpec& spec, std::size_t n,
+                               std::size_t segments) {
+  const std::size_t row_words = 2 * n / 4;
+  return {segments,
+          std::min<std::size_t>(
+              n * row_words,
+              static_cast<std::size_t>(spec.max_threads_per_block))};
+}
+
+AlignedBuffer augmented_identity(const std::uint8_t* c, std::size_t n) {
+  const std::size_t row_bytes = 2 * n;
+  AlignedBuffer aug(n * row_bytes);
+  for (std::size_t r = 0; r < n; ++r) {
+    std::memcpy(aug.data() + r * row_bytes, c + r * n, n);
+    aug[r * row_bytes + n + r] = 1;
+  }
+  return aug;
+}
 
 bool table_lookups_apply(EncodeScheme scheme, std::size_t k,
                          std::size_t threads, std::size_t half) {

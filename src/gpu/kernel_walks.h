@@ -63,6 +63,7 @@
 #include "gpu/table_layout.h"
 #include "simgpu/executor.h"
 #include "simgpu/static_model.h"
+#include "util/aligned_buffer.h"
 #include "util/assert.h"
 
 namespace extnc::gpu {
@@ -328,6 +329,41 @@ class ModelSink {
   std::array<std::size_t, static_cast<std::size_t>(Region::kCount)>
       extents_{};
 };
+
+// ------------------------------------------------------------------------
+// Launch geometry, shared by the launchers and the static models, so the
+// modeled launch is the launched one.
+
+struct LaunchGeometry {
+  std::size_t blocks = 0;
+  std::size_t threads = 0;  // per block
+};
+
+// Block size of the table-based encode kernels.
+inline constexpr std::size_t kTableThreads = 256;
+
+// Encode over `total_words` output words. Fig. 2: the loop kernel runs one
+// thread per word in blocks of up to 256, covering every word in one pass.
+// Sec. 5.1.2: the table kernels run one resident block of kTableThreads per
+// SM, striding, so each SM loads its tables once.
+LaunchGeometry encode_geometry(const simgpu::DeviceSpec& spec,
+                               EncodeScheme scheme, std::size_t total_words);
+
+// Log-domain transform of `elements` items: 256 threads per block, at most
+// one block per SM, striding.
+LaunchGeometry transform_geometry(const simgpu::DeviceSpec& spec,
+                                  std::size_t elements);
+
+// Stage-1 inverter over `segments` n x n matrices: one block per segment.
+// Only the column loop is serial: within a column the eliminations of all
+// n - 1 other rows are independent, so a block spans the (row, word) items
+// of [C | I], up to the device's block limit.
+LaunchGeometry invert_geometry(const simgpu::DeviceSpec& spec, std::size_t n,
+                               std::size_t segments);
+
+// The inverter's working matrix [C | I], n rows of 2n bytes, of the n x n
+// row-major matrix `c`.
+AlignedBuffer augmented_identity(const std::uint8_t* c, std::size_t n);
 
 // ------------------------------------------------------------------------
 // Preprocess (Sec. 5.1.1 steps 1 and 2): `elements` items of

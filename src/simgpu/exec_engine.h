@@ -8,10 +8,9 @@
 // to the serial one (see DESIGN.md, "Parallel block execution").
 //
 // Selection order, most specific wins:
-//   1. LaunchConfig::engine (per launch)
-//   2. set_default_engine()  (process-wide programmatic override)
-//   3. EXTNC_SIMGPU_ENGINE   (environment: "serial" | "parallel" | "auto")
-//   4. kAuto, which resolves to parallel when a launch has enough blocks
+//   1. set_default_engine()  (process-wide programmatic override)
+//   2. EXTNC_SIMGPU_ENGINE   (environment: "serial" | "parallel" | "auto")
+//   3. kAuto, which resolves to parallel when a launch has enough blocks
 //      to span more than one texture-cache unit and the pool has more than
 //      one worker.
 // The worker-pool size comes from EXTNC_SIMGPU_THREADS (0/unset selects

@@ -427,11 +427,9 @@ void Launcher::launch(const LaunchConfig& config,
     }
   }
 
-  // Engine resolution: per-launch override first, then the process default
-  // (environment-initialized). kAuto means "parallel when it can help".
-  const ExecEngine requested = config.engine != ExecEngine::kAuto
-                                   ? config.engine
-                                   : default_engine();
+  // Engine resolution: the process default (environment-initialized).
+  // kAuto means "parallel when it can help".
+  const ExecEngine requested = default_engine();
   const std::size_t per_unit = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::max(1, spec_->sms_per_texture_cache)));
   // kAuto additionally requires enough blocks to amortize the run_batch

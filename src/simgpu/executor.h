@@ -64,9 +64,6 @@ struct LaunchShape {
 struct LaunchConfig {
   std::size_t blocks = 1;
   std::size_t threads_per_block = 256;
-  // Per-launch engine override; kAuto defers to the process default (see
-  // exec_engine.h for the full selection order).
-  ExecEngine engine = ExecEngine::kAuto;
   // Kernel sanitizer (simgpu/checker.h): opt-in/out and declared shape.
   CheckToggle check = CheckToggle::kDefault;
   LaunchShape shape;

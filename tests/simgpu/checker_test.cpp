@@ -20,6 +20,21 @@
 namespace extnc::simgpu {
 namespace {
 
+// Pin the process-default engine, which every launch resolves, for one
+// scope; restores the previous default on exit.
+class EngineGuard {
+ public:
+  explicit EngineGuard(ExecEngine engine) : saved_(default_engine()) {
+    set_default_engine(engine);
+  }
+  ~EngineGuard() { set_default_engine(saved_); }
+  EngineGuard(const EngineGuard&) = delete;
+  EngineGuard& operator=(const EngineGuard&) = delete;
+
+ private:
+  ExecEngine saved_;
+};
+
 std::size_t count_of(const CheckReport& report, CheckKind kind) {
   return static_cast<std::size_t>(
       report.counts[static_cast<std::size_t>(kind)]);
@@ -532,10 +547,9 @@ TEST(CheckerEngines, SerialAndParallelReportsAreBitIdentical) {
   CheckReport reports[2];
   const ExecEngine engines[2] = {ExecEngine::kSerial, ExecEngine::kParallel};
   for (int i = 0; i < 2; ++i) {
+    const EngineGuard pin(engines[i]);
     Harness h;
-    LaunchConfig config{.blocks = 7, .threads_per_block = 16};
-    config.engine = engines[i];
-    h.launcher.launch(config, dirty);
+    h.launcher.launch({.blocks = 7, .threads_per_block = 16}, dirty);
     reports[i] = h.report();
   }
   EXPECT_EQ(reports[0], reports[1]);

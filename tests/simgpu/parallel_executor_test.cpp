@@ -27,6 +27,21 @@
 namespace extnc::simgpu {
 namespace {
 
+// Pin the process-default engine, which every launch resolves, for one
+// scope; restores the previous default on exit.
+class EngineGuard {
+ public:
+  explicit EngineGuard(ExecEngine engine) : saved_(default_engine()) {
+    set_default_engine(engine);
+  }
+  ~EngineGuard() { set_default_engine(saved_); }
+  EngineGuard(const EngineGuard&) = delete;
+  EngineGuard& operator=(const EngineGuard&) = delete;
+
+ private:
+  ExecEngine saved_;
+};
+
 TEST(ExecEngine, ParseAcceptsCanonicalNames) {
   EXPECT_EQ(parse_engine("serial"), ExecEngine::kSerial);
   EXPECT_EQ(parse_engine("parallel"), ExecEngine::kParallel);
@@ -124,15 +139,14 @@ TEST(ExecEngine, AutoDispatchKeepsSmallLaunchesSerial) {
   if (engine_pool().num_threads() <= 1) {
     GTEST_SKIP() << "single-threaded pool: everything routes serial";
   }
-  const ExecEngine saved = default_engine();
-  set_default_engine(ExecEngine::kAuto);
   auto& registry = metrics::Registry::instance();
   auto route = [&](std::size_t blocks, ExecEngine engine) {
+    const EngineGuard pin(engine);
     const double serial0 = registry.value("simgpu.launch.serial");
     const double parallel0 = registry.value("simgpu.launch.parallel");
     Launcher launcher(gtx280());
     launcher.launch(
-        {.blocks = blocks, .threads_per_block = 8, .engine = engine},
+        {.blocks = blocks, .threads_per_block = 8},
         [](BlockCtx& block) {
           block.step([](ThreadCtx& t) { t.count_alu(1); });
         });
@@ -152,7 +166,6 @@ TEST(ExecEngine, AutoDispatchKeepsSmallLaunchesSerial) {
   EXPECT_TRUE(route(8, ExecEngine::kParallel));
   // An explicit kSerial always stays on the calling thread.
   EXPECT_FALSE(route(30, ExecEngine::kSerial));
-  set_default_engine(saved);
 }
 
 TEST(TextureUnits, OnePerTpcAndDivisionMapping) {
@@ -284,22 +297,26 @@ TEST(EngineEquivalenceSynthetic, SerialAndParallelAreBitIdentical) {
       serial_launcher.set_profiler(&serial_profiler);
       serial_launcher.set_launch_label("equiv/synthetic");
       // Two launches back to back: texture-cache state carries across.
-      for (int round = 0; round < 2; ++round) {
-        serial_launcher.launch({.blocks = blocks,
-                                .threads_per_block = threads,
-                                .engine = ExecEngine::kSerial},
-                               serial_work.kernel());
+      {
+        const EngineGuard pin(ExecEngine::kSerial);
+        for (int round = 0; round < 2; ++round) {
+          serial_launcher.launch(
+              {.blocks = blocks, .threads_per_block = threads},
+              serial_work.kernel());
+        }
       }
 
       Launcher parallel_launcher(spec);
       Profiler parallel_profiler;
       parallel_launcher.set_profiler(&parallel_profiler);
       parallel_launcher.set_launch_label("equiv/synthetic");
-      for (int round = 0; round < 2; ++round) {
-        parallel_launcher.launch({.blocks = blocks,
-                                  .threads_per_block = threads,
-                                  .engine = ExecEngine::kParallel},
-                                 parallel_work.kernel());
+      {
+        const EngineGuard pin(ExecEngine::kParallel);
+        for (int round = 0; round < 2; ++round) {
+          parallel_launcher.launch(
+              {.blocks = blocks, .threads_per_block = threads},
+              parallel_work.kernel());
+        }
       }
 
       EXPECT_EQ(serial_work.output_bytes(), parallel_work.output_bytes())
@@ -326,11 +343,10 @@ TEST(EngineEquivalenceSynthetic, KernelExceptionReportsLowestBlock) {
   };
   const LaunchConfig base{.blocks = 30, .threads_per_block = 16};
   for (ExecEngine engine : {ExecEngine::kSerial, ExecEngine::kParallel}) {
+    const EngineGuard pin(engine);
     Launcher launcher(gtx280());
-    LaunchConfig config = base;
-    config.engine = engine;
     try {
-      launcher.launch(config, throwing_kernel);
+      launcher.launch(base, throwing_kernel);
       FAIL() << "kernel exception must propagate (" << engine_name(engine)
              << ")";
     } catch (const std::runtime_error& error) {
@@ -350,9 +366,9 @@ TEST(EngineEquivalenceSynthetic, ParallelEngineActuallyRunsOffThread) {
   }
   std::atomic<int> off_thread{0};
   const std::thread::id caller = std::this_thread::get_id();
+  const EngineGuard pin(ExecEngine::kParallel);
   Launcher launcher(gtx280());
-  launcher.launch({.blocks = 30, .threads_per_block = 8,
-                   .engine = ExecEngine::kParallel},
+  launcher.launch({.blocks = 30, .threads_per_block = 8},
                   [&](BlockCtx& block) {
                     block.step([&](ThreadCtx&) {});
                     if (std::this_thread::get_id() != caller) {
